@@ -1,15 +1,26 @@
 //! The concurrent multi-site runtime under the microscope:
 //!
-//! * **Dispatch overhead** — one site driven single-threaded vs the same
-//!   two-phase tuner driven directly, around identical spin work. The
-//!   site adds a claim CAS, a seqlock publication, and a registry-slot
-//!   indirection per call; the acceptance bar is ≤ 10% overhead.
+//! * **Dispatch overhead** — a tuning iteration through one site driven
+//!   single-threaded vs the same two-phase tuner driven directly, around
+//!   identical spin work, each call timed on its own. The site adds a
+//!   claim CAS, the tuning-rate decision, a seqlock publication, and a
+//!   registry-slot indirection per tuning iteration; the acceptance bar
+//!   is ≤ 10% overhead. Both legs see a cost that keeps improving, so the
+//!   site never plateaus and every call of either tunes. A plateaued
+//!   site's tuning calls and backed-off calls are timed and reported
+//!   beside them.
 //! * **Aggregate throughput** — 1000+ independent sites swept by 1..N
 //!   request threads; the sharded registry and per-slot cache-line
-//!   isolation should scale near-linearly up to the core count.
+//!   isolation should scale near-linearly up to the core count. Every
+//!   leg restarts the sites and shares a fixed number of sweeps among its
+//!   threads, so no site runs enough tuning iterations to plateau and
+//!   every leg measures tuning calls (the bench checks that none backed
+//!   off).
 //! * **Convergence parity** — a sample of sites re-driven with synthetic
-//!   deterministic costs must produce *bit-identical* tuner logs to
-//!   direct tuners with the same seeds.
+//!   deterministic costs until their tuners hold N samples must produce
+//!   *bit-identical* tuner logs to direct tuners with the same seeds, and
+//!   every call the tuning-rate controller backed off must have run the
+//!   direct tuner's exploit choice at that point.
 //!
 //! Persists `BENCH_sites.json` at the workspace root. Thread counts for
 //! the throughput sweep can be overridden with
@@ -21,10 +32,8 @@ use autotune::robust::MeasureOutcome;
 use autotune::site::{register, site, Site, SiteSpec};
 use autotune::space::Configuration;
 use autotune::two_phase::{AlgorithmSpec, NominalKind, Phase1Kind, TwoPhaseTuner};
-use bench::harness::{BenchResult, Criterion};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-const DISPATCH_GROUP: &str = "sites_dispatch";
 const NUM_SITES: usize = 1024;
 const WORK_US: u64 = 5;
 
@@ -43,38 +52,96 @@ fn spin_for_us(us: u64) {
     }
 }
 
-/// (a) Per-call cost with ~WORK_US µs of real work inside: direct tuner
-/// vs site dispatch, both single-threaded.
-fn bench_dispatch(c: &mut Criterion) {
-    let mut group = c.benchmark_group(DISPATCH_GROUP);
-    group
-        .sample_size(30)
-        .measurement_time(Duration::from_secs(2));
+/// Median wall time of `samples` single calls, in nanoseconds. `call`
+/// runs one call and says whether it is of the kind being sampled; calls
+/// of the other kind run but are not recorded.
+fn median_call_ns(samples: usize, mut call: impl FnMut() -> bool) -> f64 {
+    let mut ns = Vec::with_capacity(samples);
+    while ns.len() < samples {
+        let start = Instant::now();
+        let sampled = call();
+        let elapsed = start.elapsed();
+        if sampled {
+            ns.push(elapsed.as_nanos() as f64);
+        }
+    }
+    ns.sort_by(f64::total_cmp);
+    ns[samples / 2]
+}
+
+/// Median per-call costs of the dispatch legs, in nanoseconds.
+struct DispatchNs {
+    /// A directly driven tuner's iteration.
+    direct: f64,
+    /// A site's tuning iteration at full rate.
+    site: f64,
+    /// A plateaued site's tuning iteration, after a back-off gap.
+    site_after_gap: f64,
+    /// A call a plateaued site backed off.
+    backed_off: f64,
+}
+
+/// (a) Per-call cost with ~WORK_US µs of real work inside, single-
+/// threaded. Like for like, the direct tuner and the gated site leg see a
+/// cost that improves by more than 5% on every call, so the site never
+/// plateaus and every call of either is a tuning iteration. A second site
+/// on constant per-algorithm costs plateaus and backs off; its tuning
+/// calls, which find a tuner that sat idle through the gap, and its
+/// backed-off calls are timed apart.
+fn bench_dispatch(samples: usize) -> DispatchNs {
+    // 6% better per call; stays a normal float for over 20 000 calls.
+    let improving = |k: i32| 1e300 * 0.94f64.powi(k);
+    let register_site = |name: &str| {
+        site(register(SiteSpec::algorithms(
+            name,
+            specs(),
+            NominalKind::EpsilonGreedy(0.10),
+            42,
+        )))
+    };
 
     let mut tuner = TwoPhaseTuner::new(specs(), NominalKind::EpsilonGreedy(0.10), 42);
-    group.bench_function("direct", |b| {
-        b.iter(|| {
-            let (alg, _config) = tuner.next();
-            spin_for_us(WORK_US);
-            tuner.report((1 + alg) as f64);
-        })
+    let mut k = 0;
+    let direct = median_call_ns(samples, || {
+        tuner.next();
+        spin_for_us(WORK_US);
+        tuner.report(improving(k));
+        k += 1;
+        true
     });
 
-    let s = site(register(SiteSpec::algorithms(
-        "bench-dispatch",
-        specs(),
-        NominalKind::EpsilonGreedy(0.10),
-        42,
-    )));
-    group.bench_function("site", |b| {
-        b.iter(|| {
-            let guard = s.pre();
+    let s = register_site("bench-dispatch");
+    let mut k = 0;
+    let site_ns = median_call_ns(samples, || {
+        let guard = s.pre();
+        let tuning = guard.is_tuning();
+        spin_for_us(WORK_US);
+        guard.post_outcome(MeasureOutcome::Ok(improving(k)));
+        k += 1;
+        tuning
+    });
+    assert_eq!(s.tuned_iterations(), s.calls(), "every call must tune");
+
+    let p = register_site("bench-dispatch-plateau");
+    let plateaued_call = |want_tuning: bool| {
+        move || {
+            let guard = p.pre();
+            let tuning = guard.is_tuning();
             let alg = guard.algorithm();
             spin_for_us(WORK_US);
             guard.post_outcome(MeasureOutcome::Ok((1 + alg) as f64));
-        })
-    });
-    group.finish();
+            tuning == want_tuning
+        }
+    };
+    let site_after_gap = median_call_ns(samples, plateaued_call(true));
+    let backed_off = median_call_ns(samples, plateaued_call(false));
+    assert_eq!(p.contended(), 0, "a single thread never loses the claim");
+    DispatchNs {
+        direct,
+        site: site_ns,
+        site_after_gap,
+        backed_off,
+    }
 }
 
 fn register_population(n: usize) -> Vec<Site> {
@@ -90,11 +157,18 @@ fn register_population(n: usize) -> Vec<Site> {
         .collect()
 }
 
-/// (b) One throughput leg: `threads` threads each sweep the population
-/// `rounds` times; returns (total calls, contended calls, wall ms).
-fn throughput_leg(sites: &[Site], threads: usize, rounds: usize) -> (u64, u64, f64) {
+/// (b) One throughput leg: restart every site, then `threads` threads
+/// share `sweeps` sweeps of the population (each thread sweeps it
+/// `sweeps / threads` times, rounded up); returns (total calls, contended
+/// calls, backed-off calls, wall ms).
+fn throughput_leg(sites: &[Site], threads: usize, sweeps: usize) -> (u64, u64, u64, f64) {
+    for s in sites {
+        s.restart();
+    }
+    let rounds = sweeps.div_ceil(threads);
     let calls_before: u64 = sites.iter().map(|s| s.calls()).sum();
     let contended_before: u64 = sites.iter().map(|s| s.contended()).sum();
+    let backed_off_before: u64 = sites.iter().map(|s| s.backed_off()).sum();
     let start = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -114,7 +188,8 @@ fn throughput_leg(sites: &[Site], threads: usize, rounds: usize) -> (u64, u64, f
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let calls: u64 = sites.iter().map(|s| s.calls()).sum::<u64>() - calls_before;
     let contended: u64 = sites.iter().map(|s| s.contended()).sum::<u64>() - contended_before;
-    (calls, contended, wall_ms)
+    let backed_off: u64 = sites.iter().map(|s| s.backed_off()).sum::<u64>() - backed_off_before;
+    (calls, contended, backed_off, wall_ms)
 }
 
 fn thread_counts() -> Vec<usize> {
@@ -139,8 +214,10 @@ fn thread_counts() -> Vec<usize> {
 }
 
 /// (c) Convergence parity: drive a fresh site and a direct tuner with the
-/// same seed over the same deterministic synthetic costs; the tuner logs
-/// must be bit-identical.
+/// same seed over the same deterministic synthetic costs until both hold
+/// `iterations` samples; the tuner logs must be bit-identical, and every
+/// backed-off call must have run the direct tuner's exploit choice after
+/// as many samples.
 fn convergence_parity(iterations: usize) -> bool {
     fn cost(alg: usize, config: &Configuration) -> f64 {
         [14.0, 8.0, 11.0][alg]
@@ -158,10 +235,12 @@ fn convergence_parity(iterations: usize) -> bool {
             Phase1Kind::NelderMead,
             seed,
         );
+        let mut exploits = vec![direct.exploit_choice()];
         for _ in 0..iterations {
             let (alg, config) = direct.next();
             let v = cost(alg, &config);
             direct.report_outcome(MeasureOutcome::Ok(v));
+            exploits.push(direct.exploit_choice());
         }
         let s = site(register(SiteSpec::algorithms(
             format!("bench-parity-{rep}"),
@@ -169,52 +248,60 @@ fn convergence_parity(iterations: usize) -> bool {
             NominalKind::EpsilonGreedy(0.10),
             seed,
         )));
-        for _ in 0..iterations {
+        let mut tuned = 0;
+        let mut exploits_match = true;
+        while tuned < iterations {
             let guard = s.pre();
             let v = cost(guard.algorithm(), guard.config());
+            if guard.is_tuning() {
+                tuned += 1;
+            } else {
+                let (alg, config) = &exploits[tuned];
+                exploits_match &= guard.algorithm() == *alg && guard.config() == config;
+            }
             guard.post_outcome(MeasureOutcome::Ok(v));
         }
-        s.with_tuner(|t| t.as_two_phase().unwrap().log() == direct.log())
+        exploits_match
+            && s.contended() == 0
+            && s.tuned_iterations() == iterations as u64
+            && s.with_tuner(|t| t.as_two_phase().unwrap().log() == direct.log())
     })
-}
-
-fn median_of(results: &[BenchResult], name: &str) -> Option<f64> {
-    results
-        .iter()
-        .find(|r| r.group == DISPATCH_GROUP && r.name == name)
-        .map(|r| r.median_ns)
 }
 
 fn main() {
     let quick = std::env::var("BENCH_QUICK").is_ok_and(|v| v != "0");
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let mut c = Criterion::default();
-    bench_dispatch(&mut c);
-    c.final_summary();
-
-    let direct_ns = median_of(c.results(), "direct").expect("direct leg ran");
-    let site_ns = median_of(c.results(), "site").expect("site leg ran");
-    let overhead = site_ns / direct_ns;
+    let samples = if quick { 200 } else { 4000 };
+    let d = bench_dispatch(samples);
+    let overhead = d.site / d.direct;
     println!(
-        "\ndispatch overhead: {overhead:.4}x (site {site_ns:.0}ns vs direct {direct_ns:.0}ns)"
+        "dispatch overhead per tuning iteration: {overhead:.4}x \
+         (site {:.0}ns vs direct {:.0}ns, median of {samples} calls each)",
+        d.site, d.direct
+    );
+    println!(
+        "plateaued site: tuning call after a gap {:.0}ns, backed-off call {:.0}ns",
+        d.site_after_gap, d.backed_off
     );
 
     let sites = register_population(NUM_SITES);
-    let rounds = if quick { 5 } else { 20 };
+    let sweeps = if quick { 5 } else { 20 };
     let counts = thread_counts();
     let mut legs = Vec::new();
-    println!("\nthroughput sweep: {NUM_SITES} sites x {rounds} rounds, {host_cores} host cores");
+    println!(
+        "\nthroughput sweep: {NUM_SITES} sites x {sweeps} sweeps per leg, {host_cores} host cores"
+    );
     for &threads in &counts {
-        let (calls, contended, wall_ms) = throughput_leg(&sites, threads, rounds);
+        let (calls, contended, backed_off, wall_ms) = throughput_leg(&sites, threads, sweeps);
         let cps = calls as f64 / (wall_ms / 1e3);
         println!(
             "  {threads:>2} threads: {calls:>8} calls ({contended:>7} contended) in {wall_ms:>8.1}ms = {cps:>10.0} calls/s"
         );
-        legs.push((threads, calls, contended, wall_ms, cps));
+        legs.push((threads, calls, contended, backed_off, wall_ms, cps));
     }
     let scaling = match (legs.first(), legs.last()) {
-        (Some(first), Some(last)) if last.0 > first.0 => last.4 / first.4,
+        (Some(first), Some(last)) if last.0 > first.0 => last.5 / first.5,
         _ => 1.0,
     };
     if let Some(last) = legs.last() {
@@ -230,18 +317,21 @@ fn main() {
         ("num_sites", Json::Num(NUM_SITES as f64)),
         ("work_us", Json::Num(WORK_US as f64)),
         ("host_cores", Json::Num(host_cores as f64)),
-        ("dispatch_direct_ns", Json::Num(direct_ns)),
-        ("dispatch_site_ns", Json::Num(site_ns)),
+        ("dispatch_direct_ns", Json::Num(d.direct)),
+        ("dispatch_site_ns", Json::Num(d.site)),
         ("dispatch_overhead", Json::Num(overhead)),
+        ("dispatch_site_after_gap_ns", Json::Num(d.site_after_gap)),
+        ("dispatch_backed_off_ns", Json::Num(d.backed_off)),
         (
             "throughput",
             Json::Arr(
                 legs.iter()
-                    .map(|&(threads, calls, contended, wall_ms, cps)| {
+                    .map(|&(threads, calls, contended, backed_off, wall_ms, cps)| {
                         Json::obj(vec![
                             ("threads", Json::Num(threads as f64)),
                             ("calls", Json::Num(calls as f64)),
                             ("contended", Json::Num(contended as f64)),
+                            ("backed_off", Json::Num(backed_off as f64)),
                             ("wall_ms", Json::Num(wall_ms)),
                             ("calls_per_sec", Json::Num(cps)),
                         ])
@@ -257,6 +347,11 @@ fn main() {
     println!("\n→ {path}");
 
     assert!(parity, "site dispatch diverged from the direct tuner");
+    // Every leg must compare tuning calls: a leg whose sites plateaued
+    // would measure the cheaper backed-off path instead.
+    for &(threads, _, _, backed_off, _, _) in &legs {
+        assert_eq!(backed_off, 0, "{threads}-thread leg backed off");
+    }
     // The overhead bar only means something on a full (non-quick) run on
     // an otherwise idle machine; quick CI legs just record the number.
     if !quick {

@@ -9,11 +9,16 @@
 //!   sort cannot time one call (the timer tick swallows it); the robust
 //!   path batches until the measurement spans
 //!   [`autotune::robust::BATCH_TARGET_QUANTA`] ticks. For representative
-//!   classes this bench compares a tuned `sort_request` against the bare
-//!   winner sort and reports the amplification ratio next to the batch
-//!   size the host's measured tick predicts. The bound is relative: the
-//!   ratio may not exceed a small multiple of the predicted batch, which
-//!   catches runaway re-measurement without penalizing slow timers.
+//!   classes this bench compares a `sort_request` that runs a tuning
+//!   iteration against the bare winner sort and reports the amplification
+//!   ratio next to the batch size the host's measured tick predicts. The
+//!   bound is relative: the ratio may not exceed a small multiple of the
+//!   predicted batch, which catches runaway re-measurement without
+//!   penalizing slow timers. A class site that has plateaued backs off
+//!   and serves most requests with one unbatched sort, so the tuned leg
+//!   times single requests and samples only the tuning iterations; the
+//!   mean over every request of that stream is reported beside it as the
+//!   amortized cost.
 //!
 //! Persists `BENCH_smallsort.json` at the workspace root.
 
@@ -23,8 +28,8 @@ use autotune::robust::{timer_resolution_ms, BATCH_TARGET_QUANTA, MAX_BATCH};
 use autotune::two_phase::NominalKind;
 use bench::harness::{BenchResult, Criterion};
 use experiments::sortstudy::{self, SortStudyConfig};
-use smallsort::{sort_request, sort_with, SortSites, ALGORITHM_NAMES};
-use std::time::Duration;
+use smallsort::{sort_request, sort_with, SortKey, SortSites, ALGORITHM_NAMES};
+use std::time::{Duration, Instant};
 
 /// Representative classes for the dispatch legs: near-register, cache-
 /// resident, and the top of the class range.
@@ -35,12 +40,23 @@ fn group_name(class: u32) -> String {
 }
 
 /// Direct vs tuned dispatch for one class. Both legs pay the same
-/// reset-memcpy per iteration, so the difference is pure measurement
-/// machinery (batch loop, scratch copies, telemetry, tuner bookkeeping).
-fn bench_class(c: &mut Criterion, sites: &SortSites, class: u32, seed: u64) {
+/// reset-memcpy per request, so the difference is pure measurement
+/// machinery (batch loop, scratch copy, telemetry, tuner bookkeeping).
+/// The direct leg runs under the harness; the tuned leg times requests one
+/// at a time until `samples` of them were tuning iterations. Returns the
+/// median tuning-iteration time and the mean over every timed request,
+/// in nanoseconds.
+fn bench_class(
+    c: &mut Criterion,
+    sites: &SortSites,
+    class: u32,
+    seed: u64,
+    samples: usize,
+) -> (f64, f64) {
     let n = (1usize << class) * 3 / 4;
     let mut rng = Rng::new(seed);
     let input: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+    let site = sites.key_site(SortKey::of(&input));
 
     let mut group = c.benchmark_group(group_name(class));
     group
@@ -55,7 +71,7 @@ fn bench_class(c: &mut Criterion, sites: &SortSites, class: u32, seed: u64) {
         data.copy_from_slice(&input);
         sort_request(sites, &mut data);
     }
-    let (exploit, config) = sites.class_site(class).with_tuner(|t| {
+    let (exploit, config) = site.with_tuner(|t| {
         t.as_two_phase()
             .expect("sort sites are two-phase")
             .exploit_choice()
@@ -68,13 +84,37 @@ fn bench_class(c: &mut Criterion, sites: &SortSites, class: u32, seed: u64) {
             sort_with(exploit, &config, &mut scratch);
         })
     });
-    group.bench_function("tuned", |b| {
-        b.iter(|| {
-            data.copy_from_slice(&input);
-            sort_request(sites, &mut data);
-        })
-    });
     group.finish();
+
+    let mut tuning_ns = Vec::with_capacity(samples);
+    let (mut total_ns, mut requests) = (0.0, 0u64);
+    while tuning_ns.len() < samples {
+        let tuned_before = site.tuned_iterations();
+        let start = Instant::now();
+        data.copy_from_slice(&input);
+        sort_request(sites, &mut data);
+        let ns = start.elapsed().as_nanos() as f64;
+        total_ns += ns;
+        requests += 1;
+        if site.tuned_iterations() > tuned_before {
+            tuning_ns.push(ns);
+        }
+    }
+    tuning_ns.sort_by(f64::total_cmp);
+    (tuning_ns[samples / 2], total_ns / requests as f64)
+}
+
+/// One class's dispatch measurements (see [`bench_class`]).
+struct Dispatch {
+    class: u32,
+    direct_ns: f64,
+    /// Median request that ran a tuning iteration.
+    tuned_ns: f64,
+    amplification: f64,
+    predicted_batch: usize,
+    /// Mean over every timed request, tuning or backed off.
+    amortized_ns: f64,
+    amortized_amplification: f64,
 }
 
 fn median_of(results: &[BenchResult], group: &str, name: &str) -> f64 {
@@ -100,19 +140,21 @@ fn main() {
 
     // (b) Measurement amplification on representative classes.
     let sites = SortSites::register("bench/smallsort", NominalKind::EpsilonGreedy(0.10), 4711);
+    let samples = if quick { 30 } else { 200 };
     let mut c = Criterion::default();
-    for (i, &class) in DISPATCH_CLASSES.iter().enumerate() {
-        bench_class(&mut c, &sites, class, 6000 + i as u64);
-    }
+    let tuned: Vec<(f64, f64)> = DISPATCH_CLASSES
+        .iter()
+        .enumerate()
+        .map(|(i, &class)| bench_class(&mut c, &sites, class, 6000 + i as u64, samples))
+        .collect();
     c.final_summary();
 
     let mut dispatch = Vec::new();
     println!("\nmeasurement amplification (timer tick {floor_ns:.0}ns):");
-    for &class in &DISPATCH_CLASSES {
-        let g = group_name(class);
-        let direct_ns = median_of(c.results(), &g, "direct");
-        let tuned_ns = median_of(c.results(), &g, "tuned");
+    for (&class, &(tuned_ns, amortized_ns)) in DISPATCH_CLASSES.iter().zip(&tuned) {
+        let direct_ns = median_of(c.results(), &group_name(class), "direct");
         let amplification = tuned_ns / direct_ns;
+        let amortized_amplification = amortized_ns / direct_ns;
         // The batch the robust path should settle on for this class:
         // enough doubled repetitions to span the target quanta.
         let predicted_batch = ((BATCH_TARGET_QUANTA * floor_ns / direct_ns).ceil() as usize)
@@ -120,9 +162,18 @@ fn main() {
             .clamp(1, MAX_BATCH);
         println!(
             "  class {class:>2}: direct {direct_ns:>9.0}ns  tuned {tuned_ns:>10.0}ns  \
-             = {amplification:>6.1}x (predicted batch {predicted_batch})"
+             = {amplification:>6.1}x (predicted batch {predicted_batch}); \
+             amortized {amortized_ns:>8.0}ns = {amortized_amplification:>5.1}x"
         );
-        dispatch.push((class, direct_ns, tuned_ns, amplification, predicted_batch));
+        dispatch.push(Dispatch {
+            class,
+            direct_ns,
+            tuned_ns,
+            amplification,
+            predicted_batch,
+            amortized_ns,
+            amortized_amplification,
+        });
     }
 
     let tables: Vec<Json> = study
@@ -160,13 +211,18 @@ fn main() {
             Json::Arr(
                 dispatch
                     .iter()
-                    .map(|&(class, direct_ns, tuned_ns, amplification, batch)| {
+                    .map(|d| {
                         Json::obj(vec![
-                            ("class", Json::Num(class as f64)),
-                            ("direct_ns", Json::Num(direct_ns)),
-                            ("tuned_ns", Json::Num(tuned_ns)),
-                            ("amplification", Json::Num(amplification)),
-                            ("predicted_batch", Json::Num(batch as f64)),
+                            ("class", Json::Num(d.class as f64)),
+                            ("direct_ns", Json::Num(d.direct_ns)),
+                            ("tuned_ns", Json::Num(d.tuned_ns)),
+                            ("amplification", Json::Num(d.amplification)),
+                            ("predicted_batch", Json::Num(d.predicted_batch as f64)),
+                            ("amortized_ns", Json::Num(d.amortized_ns)),
+                            (
+                                "amortized_amplification",
+                                Json::Num(d.amortized_amplification),
+                            ),
                         ])
                     })
                     .collect(),
@@ -186,11 +242,13 @@ fn main() {
     // Measurement amplification is bounded by the predicted batch (plus
     // headroom for scratch copies and bookkeeping) — a runaway
     // re-measurement loop blows straight through this.
-    for &(class, _, _, amplification, batch) in &dispatch {
+    for d in &dispatch {
         assert!(
-            amplification <= 8.0 * batch.max(1) as f64,
-            "class {class}: tuned dispatch amplified {amplification:.1}x \
-             against a predicted batch of {batch}"
+            d.amplification <= 8.0 * d.predicted_batch.max(1) as f64,
+            "class {}: tuned dispatch amplified {:.1}x against a predicted batch of {}",
+            d.class,
+            d.amplification,
+            d.predicted_batch
         );
     }
     // At the top class one sort spans many ticks, so batching is off and
@@ -198,10 +256,10 @@ fn main() {
     if !quick {
         let top = dispatch.last().unwrap();
         assert!(
-            top.3 < 4.0,
+            top.amplification < 4.0,
             "class {}: unbatched tuned dispatch costs {:.2}x the bare sort",
-            top.0,
-            top.3
+            top.class,
+            top.amplification
         );
     }
 }

@@ -134,7 +134,7 @@ pub struct KeyStats {
     /// Completed calls dispatched for this key.
     pub calls: u64,
     /// Calls that ran a full tuning iteration (the rest took the
-    /// published exploit decision).
+    /// published exploit decision, contended or backed off).
     pub tuned_iterations: u64,
     /// Times this key was admitted to a slot (first admission + every
     /// reinstatement after an eviction).
@@ -632,8 +632,11 @@ impl ContextGuard {
             .config()
     }
 
-    /// True when this call runs a tuning iteration (it won the claim);
-    /// false when it runs the published exploit decision.
+    /// True when this call runs a tuning iteration whose measurement
+    /// feeds the key's tuner; false when it runs the published exploit
+    /// decision — because it lost the claim race, or because the key's
+    /// tuning-rate controller backed it off (see
+    /// [`crate::site::SiteGuard::is_tuning`]).
     pub fn is_tuning(&self) -> bool {
         self.guard
             .as_ref()

@@ -14,8 +14,10 @@
 //! * [`serve`] — the poll loop: nonblocking sockets, per-connection
 //!   reused read/write buffers, in-place frame parsing, batched response
 //!   writes. Single-threaded by design: one thread owns every socket, so
-//!   each request's site call wins the claim CAS and runs a full tuning
-//!   iteration — the serving loop *is* the tuning loop.
+//!   each request's site call wins the claim CAS — the serving loop *is*
+//!   the tuning loop, at the rate each site's tuning-rate controller sets
+//!   ([`crate::site`]): every request while a site learns, one in up to
+//!   64 once it has plateaued.
 //! * [`RequestHandler`] — the application hook. The server owns transport
 //!   and the built-in opcodes (ping, stats, subscribe, quit); match /
 //!   render / morph payloads are delegated to the handler, which is where

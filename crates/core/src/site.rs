@@ -54,22 +54,39 @@
 //! dependent loads with no locks.
 //!
 //! **The claim CAS.** All tuner state (the phase-2 strategy, per-algorithm
-//! phase-1 searchers, logs) sits in an `UnsafeCell` guarded by a single
-//! claim word. A thread entering a site tries one
-//! `compare_exchange(0 → 1, Acquire)`:
+//! phase-1 searchers, logs, the tuning-rate controller) sits in an
+//! `UnsafeCell` guarded by a single claim word. A thread entering a site
+//! tries one `compare_exchange(0 → 1, Acquire)`:
 //!
-//! * **Winner** — drives a real tuning iteration: `next()` on the embedded
-//!   tuner, runs the chosen algorithm, `report()`s the measured time, then
-//!   publishes the tuner's current exploit choice and releases the claim
-//!   with a `Release` store. The Acquire/Release pairing on the claim word
-//!   makes all tuner mutations happen-before the next winner's accesses —
-//!   the same discipline as a spinlock, except nobody ever spins.
+//! * **Winner** — asks the site's tuning-rate controller whether this call
+//!   tunes. Normally it does, and the winner drives a real tuning
+//!   iteration: `next()` on the embedded tuner, runs the chosen algorithm,
+//!   `report()`s the measured time, then publishes the tuner's current
+//!   exploit choice and releases the claim with a `Release` store. The
+//!   Acquire/Release pairing on the claim word makes all tuner mutations
+//!   happen-before the next winner's accesses — the same discipline as a
+//!   spinlock, except nobody ever spins. A call the controller *backs
+//!   off* releases the claim inside [`Site::pre`] and continues like a
+//!   loser.
 //! * **Loser** — does *not* wait. It reads the most recently *published*
 //!   decision (best algorithm + its best-known configuration) through a
-//!   seqlock and runs that, unmeasured. Contended calls therefore cost one
-//!   failed CAS plus a seqlock read, and the measurement stream feeding the
-//!   tuner stays serialized per site — no torn or interleaved ask/tell
-//!   protocols, no lost updates.
+//!   seqlock and runs that; the tuner never sees its time. Contended
+//!   calls therefore cost one failed CAS plus a seqlock read, and the
+//!   measurement stream feeding the tuner stays serialized per site — no
+//!   torn or interleaved ask/tell protocols, no lost updates.
+//!
+//! **Tuning rate.** The paper tunes until convergence and then exploits;
+//! an always-on site has to notice convergence itself. Once a site's best
+//! value has not improved by more than 5% for 32 tuned iterations, the
+//! gap between tuning calls doubles with each further plateaued
+//! iteration, up to one tuning call in 64. A claim-winning call inside the
+//! gap is served the published decision like a contended call (no RNG
+//! draw, no tuner change) and counted by [`Site::backed_off`]. A >5%
+//! improvement, or a freshly built tuner ([`Site::restart`], a context
+//! key's first admission), returns the site to tuning every call. The
+//! controller lives in the claim-guarded [`SiteTuner`], so it travels with
+//! the tuner when [`crate::context::ContextSites`] parks and reinstates
+//! it. DESIGN.md §12 explains the constants.
 //!
 //! **The seqlock.** The published decision is a fixed-size, heap-free
 //! encoding (algorithm index + up to [`MAX_PUBLISHED_PARAMS`] tagged
@@ -84,18 +101,22 @@
 //! even a torn read-in-progress is well-defined — the retry just discards
 //! it.
 //!
-//! **Counters.** Per-site call and contention counters are plain `Relaxed`
-//! `fetch_add`s on the slot — monotonic and exact (no lost updates), which
-//! the 8-thread stress test in `tests/site_runtime.rs` pins.
+//! **Counters.** Per-site call, contention and back-off counters are
+//! `fetch_add`s on the slot, bumped when a call completes — monotonic and
+//! exact (no lost updates), which the 8-thread stress test in
+//! `tests/site_runtime.rs` pins. Every completed call is exactly one of
+//! tuned, contended or backed off.
 //!
 //! **Telemetry.** Every event a site's tuner emits is stamped with the
 //! site's id via [`crate::telemetry::with_site`], so one global trace
 //! interleaves thousands of sites and can still be split per site at
 //! export time.
 //!
-//! Single-threaded use is *bit-identical* to driving the underlying tuner
-//! directly (the claim CAS always succeeds, so every call is a full tuning
-//! iteration with the same seeds) — property-tested in
+//! Single-threaded use drives the embedded tuner exactly as a direct
+//! caller would: the claim CAS always succeeds, so the tuned calls'
+//! sample log is *bit-identical* to a direct tuner's with the same seeds
+//! and measurements, and every backed-off call runs the direct tuner's
+//! exploit choice at that point — property-tested in
 //! `tests/site_runtime.rs`.
 
 use crate::measure::duration_ms;
@@ -104,7 +125,7 @@ use crate::robust::MeasureOutcome;
 use crate::search::Searcher;
 use crate::space::{Configuration, Constraint, SearchSpace};
 use crate::telemetry::{self, EventKind, MeasureStatus};
-use crate::tuner::{OnlineTuner, Termination};
+use crate::tuner::{OnlineTuner, Plateau, Termination};
 use crate::two_phase::{AlgorithmSpec, NominalKind, Phase1Kind, TwoPhaseTuner};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, Ordering};
@@ -150,7 +171,7 @@ enum SpecKind {
     Algorithms(Vec<AlgorithmSpec>, NominalKind),
     /// A single parameter space with no algorithmic choice, plus an
     /// optional starting configuration (set by warm-starting).
-    Space(SearchSpace, Termination, Option<Configuration>),
+    Space(SearchSpace, Option<Configuration>),
 }
 
 /// Blueprint of a tuning site: what it tunes and with which strategies and
@@ -184,12 +205,12 @@ impl SiteSpec {
     }
 
     /// A site tuning a single parameter space with no algorithmic choice.
-    /// Equivalent to a dedicated [`OnlineTuner`] with [`Termination::Never`]
-    /// (override via [`SiteSpec::with_termination`]).
+    /// Equivalent to a dedicated [`OnlineTuner`] with [`Termination::Never`]:
+    /// a plateaued site backs off its tuning rate instead of stopping.
     pub fn space(name: impl Into<String>, space: SearchSpace, seed: u64) -> Self {
         SiteSpec {
             name: name.into(),
-            kind: SpecKind::Space(space, Termination::Never, None),
+            kind: SpecKind::Space(space, None),
             phase1: Phase1Kind::NelderMead,
             seed,
         }
@@ -233,7 +254,7 @@ impl SiteSpec {
                     }
                 }
             }
-            SpecKind::Space(space, _, start) => {
+            SpecKind::Space(space, start) => {
                 if let Some(Some((c, _))) = incumbents.first() {
                     if space.contains(c) && space.is_feasible(c) {
                         *start = Some(c.clone());
@@ -263,30 +284,86 @@ impl SiteSpec {
                     s.space = s.space.clone().with_constraint(constraint.clone());
                 }
             }
-            SpecKind::Space(space, _, _) => {
+            SpecKind::Space(space, _) => {
                 *space = space.clone().with_constraint(constraint.clone());
             }
         }
         self
     }
+}
 
-    /// Override the termination criterion (single-space sites only; a
-    /// terminated site keeps exploiting its best-known configuration).
-    pub fn with_termination(mut self, termination: Termination) -> Self {
-        if let SpecKind::Space(_, t, _) = &mut self.kind {
-            *t = termination;
+/// Consecutive tuned iterations without a meaningful improvement after
+/// which a site is plateaued and starts backing off.
+const PLATEAU_WINDOW: usize = 32;
+
+/// Relative improvement of the best value that counts as meaningful.
+const PLATEAU_TOLERANCE: f64 = 0.05;
+
+/// The widest gap between tuning calls is `2^MAX_GAP_LOG2` = 64 calls.
+const MAX_GAP_LOG2: usize = 6;
+
+/// A site's tuning-rate controller (see the module docs and DESIGN.md
+/// §12): a plateau counter over the tuned iterations' values, and the
+/// number of claim-winning calls still to serve from the published
+/// decision before the next tuning call.
+struct TuningRate {
+    plateau: Plateau,
+    skip: u32,
+}
+
+impl TuningRate {
+    fn new() -> Self {
+        TuningRate {
+            plateau: Plateau::new(PLATEAU_TOLERANCE),
+            skip: 0,
         }
-        self
+    }
+
+    /// Calls from one tuning call to the next: 1 until the site has
+    /// plateaued, then doubling with each further plateaued iteration up
+    /// to 64. The `n`-th consecutive non-improving tuned iteration is
+    /// followed by a gap of `2^min(n − 32, 6)` for `n ≥ 32`.
+    fn gap(&self) -> u32 {
+        match self.plateau.len().checked_sub(PLATEAU_WINDOW) {
+            None => 1,
+            Some(extra) => 1 << extra.min(MAX_GAP_LOG2),
+        }
+    }
+
+    /// Feed one tuned iteration's value and schedule the next tuning call.
+    fn record(&mut self, value: f64) {
+        self.plateau.observe(value);
+        self.skip = self.gap() - 1;
+    }
+
+    /// Should this claim-winning call back off? Consumes one place in
+    /// the gap when it does.
+    fn back_off(&mut self) -> bool {
+        let skip = self.skip > 0;
+        if skip {
+            self.skip -= 1;
+        }
+        skip
     }
 }
 
-/// The tuner embedded in a site: the same state machines applications
-/// drive directly, made shareable by the slot's claim discipline.
-pub enum SiteTuner {
+/// The state machine a site drives: the same tuners applications drive
+/// directly.
+enum Engine {
     /// Algorithmic choice: a full two-phase tuner.
     TwoPhase(TwoPhaseTuner),
     /// Single parameter space: an online tuning loop.
     Single(OnlineTuner<Box<dyn Searcher>>),
+}
+
+/// The tuner embedded in a site — a two-phase tuner or a single-space
+/// online loop, plus the site's tuning-rate controller — made shareable
+/// by the slot's claim discipline. Moving a `SiteTuner` (parking it on
+/// eviction, reinstating it on re-admission) carries the controller with
+/// it; building one starts the site at full rate.
+pub struct SiteTuner {
+    engine: Engine,
+    rate: TuningRate,
 }
 
 impl SiteTuner {
@@ -297,7 +374,7 @@ impl SiteTuner {
             phase1,
             seed,
         } = spec;
-        let tuner = match kind {
+        let engine = match kind {
             SpecKind::Algorithms(specs, nominal) => {
                 for s in &specs {
                     assert!(
@@ -308,9 +385,9 @@ impl SiteTuner {
                         MAX_PUBLISHED_PARAMS
                     );
                 }
-                SiteTuner::TwoPhase(TwoPhaseTuner::with_phase1(specs, nominal, phase1, seed))
+                Engine::TwoPhase(TwoPhaseTuner::with_phase1(specs, nominal, phase1, seed))
             }
-            SpecKind::Space(space, termination, start) => {
+            SpecKind::Space(space, start) => {
                 assert!(
                     space.dims() <= MAX_PUBLISHED_PARAMS,
                     "space has {} parameters; sites publish at most {}",
@@ -320,52 +397,55 @@ impl SiteTuner {
                 let mut aspec = AlgorithmSpec::new(name.clone(), space);
                 aspec.start = start;
                 let searcher = phase1.build(&aspec, seed);
-                SiteTuner::Single(OnlineTuner::new(searcher, termination))
+                Engine::Single(OnlineTuner::new(searcher, Termination::Never))
             }
+        };
+        let tuner = SiteTuner {
+            engine,
+            rate: TuningRate::new(),
         };
         (tuner, name)
     }
 
     fn next(&mut self) -> (usize, Configuration) {
-        match self {
-            SiteTuner::TwoPhase(t) => t.next(),
-            SiteTuner::Single(t) => (0, t.ask()),
+        match &mut self.engine {
+            Engine::TwoPhase(t) => t.next(),
+            Engine::Single(t) => (0, t.ask()),
         }
     }
 
     fn is_feasible(&self, algorithm: usize, config: &Configuration) -> bool {
-        match self {
-            SiteTuner::TwoPhase(t) => t.space(algorithm).is_feasible(config),
-            SiteTuner::Single(t) => t.searcher().space().is_feasible(config),
+        match &self.engine {
+            Engine::TwoPhase(t) => t.space(algorithm).is_feasible(config),
+            Engine::Single(t) => t.searcher().space().is_feasible(config),
         }
     }
 
+    /// Complete the pending iteration; its recorded value (measurement
+    /// or failure penalty) also feeds the tuning-rate controller.
     fn report_outcome(&mut self, outcome: MeasureOutcome) {
-        match self {
-            SiteTuner::TwoPhase(t) => {
-                t.report_outcome(outcome);
-            }
-            SiteTuner::Single(t) => {
-                t.tell_outcome(outcome);
-            }
-        }
+        let value = match &mut self.engine {
+            Engine::TwoPhase(t) => t.report_outcome(outcome).value,
+            Engine::Single(t) => t.tell_outcome(outcome).value,
+        };
+        self.rate.record(value);
     }
 
     fn abandon(&mut self) {
-        match self {
-            SiteTuner::TwoPhase(t) => {
+        match &mut self.engine {
+            Engine::TwoPhase(t) => {
                 t.abandon();
             }
-            SiteTuner::Single(t) => {
+            Engine::Single(t) => {
                 t.abandon();
             }
         }
     }
 
     fn exploit_choice(&self) -> (usize, Configuration) {
-        match self {
-            SiteTuner::TwoPhase(t) => t.exploit_choice(),
-            SiteTuner::Single(t) => (
+        match &self.engine {
+            Engine::TwoPhase(t) => t.exploit_choice(),
+            Engine::Single(t) => (
                 0,
                 t.best()
                     .map(|(c, _)| c.clone())
@@ -375,9 +455,9 @@ impl SiteTuner {
     }
 
     fn algorithm_count(&self) -> usize {
-        match self {
-            SiteTuner::TwoPhase(t) => t.num_algorithms(),
-            SiteTuner::Single(_) => 1,
+        match &self.engine {
+            Engine::TwoPhase(t) => t.num_algorithms(),
+            Engine::Single(_) => 1,
         }
     }
 
@@ -394,7 +474,7 @@ impl SiteTuner {
     /// cross-context warm-starting; DESIGN.md §11 motivates it.
     pub fn build_warm(spec: SiteSpec, incumbents: &[Option<(Configuration, f64)>]) -> SiteTuner {
         let (mut tuner, _name) = SiteTuner::build(spec.with_incumbent_starts(incumbents));
-        if let SiteTuner::TwoPhase(t) = &mut tuner {
+        if let Engine::TwoPhase(t) = &mut tuner.engine {
             for (i, inc) in incumbents.iter().enumerate().take(t.num_algorithms()) {
                 if let Some((_, v)) = inc {
                     t.seed_algorithm(i, *v);
@@ -410,27 +490,27 @@ impl SiteTuner {
     /// (single-space tuners return one entry). This is the "posterior"
     /// a neighboring context is warm-started from.
     pub fn incumbents(&self) -> Vec<Option<(Configuration, f64)>> {
-        match self {
-            SiteTuner::TwoPhase(t) => (0..t.num_algorithms())
+        match &self.engine {
+            Engine::TwoPhase(t) => (0..t.num_algorithms())
                 .map(|i| t.searcher_best(i).map(|(c, v)| (c.clone(), v)))
                 .collect(),
-            SiteTuner::Single(t) => vec![t.best().map(|(c, v)| (c.clone(), v))],
+            Engine::Single(t) => vec![t.best().map(|(c, v)| (c.clone(), v))],
         }
     }
 
     /// The embedded two-phase tuner, if this site has algorithmic choice.
     pub fn as_two_phase(&self) -> Option<&TwoPhaseTuner> {
-        match self {
-            SiteTuner::TwoPhase(t) => Some(t),
-            SiteTuner::Single(_) => None,
+        match &self.engine {
+            Engine::TwoPhase(t) => Some(t),
+            Engine::Single(_) => None,
         }
     }
 
     /// The embedded single-space tuner, if this site has none.
     pub fn as_single(&self) -> Option<&OnlineTuner<Box<dyn Searcher>>> {
-        match self {
-            SiteTuner::TwoPhase(_) => None,
-            SiteTuner::Single(t) => Some(t),
+        match &self.engine {
+            Engine::TwoPhase(_) => None,
+            Engine::Single(t) => Some(t),
         }
     }
 }
@@ -461,12 +541,17 @@ fn decode_value(bits: u64, tag: u64) -> Value {
 /// cache-line-aligned allocation so independent sites never false-share.
 #[repr(align(64))]
 struct SiteSlot {
-    /// Claim word: 0 = free, 1 = a thread is running a tuning iteration.
+    /// Claim word: 0 = free, 1 = a thread holds the tuner (a tuning
+    /// iteration, or a rate decision inside [`Site::pre`]).
     claim: AtomicU32,
     /// Completed calls through this site (tuned + exploit fast path).
     calls: AtomicU64,
-    /// Calls that lost the claim race and took the exploit fast path.
+    /// Completed calls that lost the claim race and took the exploit
+    /// fast path.
     contended: AtomicU64,
+    /// Completed calls the tuning-rate controller served from the
+    /// published decision.
+    backed_off: AtomicU64,
     /// Times the tuner was rebuilt from the recipe ([`Site::restart`]).
     restarts: AtomicU64,
     /// Seqlock sequence word for the published decision (even = stable).
@@ -541,6 +626,7 @@ impl SiteSlot {
             claim: AtomicU32::new(0),
             calls: AtomicU64::new(0),
             contended: AtomicU64::new(0),
+            backed_off: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
             seq: AtomicU32::new(0),
             pub_algo: AtomicU32::new(0),
@@ -643,12 +729,25 @@ impl Site {
     /// Calls that lost the claim race and ran the published decision
     /// instead of a tuning iteration.
     pub fn contended(self) -> u64 {
-        self.slot.contended.load(Ordering::Relaxed)
+        // `Acquire` pairs with the `Release` bump in `SiteGuard::finish`,
+        // which follows the call's `calls` bump.
+        self.slot.contended.load(Ordering::Acquire)
     }
 
-    /// Calls that ran a full tuning iteration.
+    /// Calls that won the claim inside the tuning-rate controller's gap
+    /// and ran the published decision instead of a tuning iteration (see
+    /// the module docs).
+    pub fn backed_off(self) -> u64 {
+        self.slot.backed_off.load(Ordering::Acquire)
+    }
+
+    /// Calls that ran a full tuning iteration: `calls − contended −
+    /// backed_off`. Loading the two path counters first means every call
+    /// they count is already in `calls`, so a read racing live traffic
+    /// never underflows.
     pub fn tuned_iterations(self) -> u64 {
-        self.calls() - self.contended()
+        let untuned = self.contended() + self.backed_off();
+        self.calls() - untuned
     }
 
     /// Times this site's tuner was rebuilt from its recipe
@@ -660,14 +759,17 @@ impl Site {
 
     /// Throw away all learned state and rebuild the tuner from the
     /// registration recipe (same algorithm set, same strategies, same
-    /// seed), re-widening the search after workload drift.
+    /// seed), re-widening the search after workload drift. The rebuilt
+    /// tuner's rate controller starts fresh, so the site tunes every call
+    /// again until it re-plateaus.
     ///
     /// Spins for the claim like [`Site::with_tuner`], so it must not be
     /// called from a thread that already holds it (e.g. inside
     /// [`Site::tuned`]'s closure). The fresh tuner's exploit choice is
     /// published before the claim is released, so concurrent exploit
     /// traffic never observes stale decisions. Counters (`calls`,
-    /// `contended`) are *not* reset — they count traffic, not learning.
+    /// `contended`, `backed_off`) are *not* reset — they count traffic,
+    /// not learning.
     pub fn restart(self) {
         let slot = self.slot;
         while slot
@@ -703,8 +805,9 @@ impl Site {
     /// outstanding — a late `post()` would be counted (and traced)
     /// against the new binding; [`crate::context::ContextSites`] enforces
     /// this with per-slot in-flight accounting. Traffic counters
-    /// (`calls`, `contended`) are not reset: they count the slot, not
-    /// the binding.
+    /// (`calls`, `contended`, `backed_off`) are not reset: they count the
+    /// slot, not the binding. A reinstated tuner brings its rate
+    /// controller along; a cold build starts at full rate.
     pub fn rebind(self, spec: SiteSpec, tuner: Option<SiteTuner>) -> SiteTuner {
         let slot = self.slot;
         // Cold builds happen outside the claim: registration cost must
@@ -734,56 +837,62 @@ impl Site {
     }
 
     /// Enter the site (Tuna's `tuna_pre`): pick the algorithm and
-    /// configuration to run — a fresh tuner proposal if this thread wins
-    /// the claim CAS, the published exploit decision otherwise. Pair with
+    /// configuration to run. A thread that wins the claim CAS asks the
+    /// tuning-rate controller first: inside the controller's gap it
+    /// releases the claim and runs the published exploit decision,
+    /// otherwise it keeps the claim and runs a fresh tuner proposal. A
+    /// thread that loses the CAS runs the published decision. Pair with
     /// [`SiteGuard::post`] / [`SiteGuard::post_outcome`] around the
     /// interchangeable code, or drop the guard to abandon the call.
     pub fn pre(self) -> SiteGuard {
         let slot = self.slot;
-        let mut claimed = slot
+        let (path, (algorithm, config)) = if slot
             .claim
             .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok();
-        let (algorithm, config) = if claimed {
-            // Release the claim if the tuner panics mid-proposal.
+            .is_ok()
+        {
+            // Releases the claim on every path but a tuning iteration's,
+            // including a panic mid-proposal.
             let bomb = ReleaseClaim(slot);
             // SAFETY: this thread holds the claim (see `Sync` impl).
-            let proposal = telemetry::with_site(slot.id.tag(), || {
-                let tuner = unsafe { &mut (*slot.state.get()).tuner };
-                let (a, c) = tuner.next();
-                if tuner.is_feasible(a, &c) {
-                    Some((a, c))
-                } else {
+            let tuner = unsafe { &mut (*slot.state.get()).tuner };
+            if tuner.rate.back_off() {
+                // The tuner is untouched, so the published decision is its
+                // exploit choice; no writer can race this read.
+                (CallPath::BackedOff, slot.read_decision())
+            } else {
+                let proposal = telemetry::with_site(slot.id.tag(), || {
+                    let (a, c) = tuner.next();
+                    if tuner.is_feasible(a, &c) {
+                        return Ok((a, c));
+                    }
                     // The searcher could not repair its proposal into the
                     // constrained region: take the penalty path inside the
                     // claim instead of letting the caller run (and time) an
                     // invalid configuration, and re-publish the exploit
-                    // decision so the fast path below serves a sane choice.
+                    // decision, which the caller runs instead.
                     tuner.report_outcome(MeasureOutcome::Failed("infeasible proposal".into()));
-                    let (algo, config) = tuner.exploit_choice();
-                    slot.publish(algo, &config);
-                    None
-                }
-            });
-            std::mem::forget(bomb);
-            match proposal {
-                Some(p) => p,
-                None => {
-                    slot.claim.store(0, Ordering::Release);
-                    claimed = false;
-                    slot.read_decision()
+                    let exploit = tuner.exploit_choice();
+                    slot.publish(exploit.0, &exploit.1);
+                    Err(exploit)
+                });
+                match proposal {
+                    Ok(p) => {
+                        std::mem::forget(bomb);
+                        (CallPath::Tuning, p)
+                    }
+                    Err(exploit) => (CallPath::Penalized, exploit),
                 }
             }
         } else {
-            slot.contended.fetch_add(1, Ordering::Relaxed);
-            slot.read_decision()
+            (CallPath::Contended, slot.read_decision())
         };
         SiteGuard {
             site: self,
             algorithm,
             config,
             start: Instant::now(),
-            claimed,
+            path,
             finished: false,
         }
     }
@@ -848,8 +957,24 @@ impl std::fmt::Debug for Site {
             .field("name", &self.slot.name)
             .field("calls", &self.calls())
             .field("contended", &self.contended())
+            .field("backed_off", &self.backed_off())
             .finish()
     }
+}
+
+/// How [`Site::pre`] decided a call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CallPath {
+    /// A tuning iteration: the guard holds the claim until it resolves.
+    Tuning,
+    /// A tuning iteration whose proposal was infeasible: penalized inside
+    /// `pre`, so the call runs the exploit decision.
+    Penalized,
+    /// Inside the tuning-rate controller's gap: runs the published
+    /// decision.
+    BackedOff,
+    /// Lost the claim race: runs the published decision.
+    Contended,
 }
 
 /// In-flight call through a [`Site`]: carries the chosen algorithm and
@@ -862,7 +987,7 @@ pub struct SiteGuard {
     algorithm: usize,
     config: Configuration,
     start: Instant,
-    claimed: bool,
+    path: CallPath,
     finished: bool,
 }
 
@@ -877,16 +1002,19 @@ impl SiteGuard {
         &self.config
     }
 
-    /// Did this call win the claim race (a full tuning iteration) rather
-    /// than take the exploit fast path?
+    /// Is this call a tuning iteration whose measurement feeds the tuner?
+    /// False on the exploit fast path: a call that lost the claim race,
+    /// one the tuning-rate controller backed off, or one whose infeasible
+    /// proposal was penalized in [`Site::pre`]. Callers use it to spend
+    /// careful measurement (e.g. batched timing) only where it is read.
     pub fn is_tuning(&self) -> bool {
-        self.claimed
+        self.path == CallPath::Tuning
     }
 
     /// Complete the call (Tuna's `tuna_post`): report the elapsed wall
-    /// time since [`Site::pre`] to the site's tuner (claim winners) or
-    /// just record the call (exploit fast path). Returns the elapsed
-    /// milliseconds.
+    /// time since [`Site::pre`] to the site's tuner (tuning iterations)
+    /// or just record the call (exploit fast path). Returns the elapsed
+    /// milliseconds either way.
     pub fn post(mut self) -> f64 {
         let ms = duration_ms(self.start.elapsed());
         self.finish(MeasureOutcome::Ok(ms));
@@ -904,7 +1032,7 @@ impl SiteGuard {
     fn finish(&mut self, outcome: MeasureOutcome) {
         self.finished = true;
         let slot = self.site.slot;
-        if self.claimed {
+        if self.path == CallPath::Tuning {
             telemetry::with_site(slot.id.tag(), || {
                 // SAFETY: this thread holds the claim (see `Sync` impl).
                 let tuner = unsafe { &mut (*slot.state.get()).tuner };
@@ -933,6 +1061,16 @@ impl SiteGuard {
             });
         }
         slot.calls.fetch_add(1, Ordering::Relaxed);
+        // After `calls`, with `Release`: a reader that sees a path count
+        // also sees its call (see `Site::tuned_iterations`).
+        let path_count = match self.path {
+            CallPath::Contended => Some(&slot.contended),
+            CallPath::BackedOff => Some(&slot.backed_off),
+            CallPath::Tuning | CallPath::Penalized => None,
+        };
+        if let Some(count) = path_count {
+            count.fetch_add(1, Ordering::Release);
+        }
     }
 }
 
@@ -942,7 +1080,7 @@ impl Drop for SiteGuard {
             return;
         }
         let slot = self.site.slot;
-        if self.claimed {
+        if self.path == CallPath::Tuning {
             // SAFETY: this thread holds the claim (see `Sync` impl).
             unsafe { &mut (*slot.state.get()).tuner }.abandon();
             slot.claim.store(0, Ordering::Release);
@@ -1107,19 +1245,53 @@ mod tests {
     fn single_site_converges_like_a_two_phase_tuner() {
         let id = register(three_algo_spec("converges", 3));
         let s = site(id);
-        for _ in 0..300 {
+        // Drive until the tuner has 300 samples; once the site plateaus,
+        // calls inside the rate controller's gap are backed off instead.
+        while s.tuned_iterations() < 300 {
             s.tuned(|alg, _| {
                 std::hint::black_box([30u64, 5, 15][alg]);
             });
         }
-        assert_eq!(s.calls(), 300);
         assert_eq!(s.contended(), 0, "single-threaded runs never contend");
+        assert_eq!(s.calls(), 300 + s.backed_off());
         // The cheap algorithm wins on wall time (index 1 only by cost
         // model; here all bodies are ~equal, so just check the protocol).
         s.with_tuner(|t| {
             let tp = t.as_two_phase().unwrap();
             assert_eq!(tp.log().len(), 300);
         });
+    }
+
+    #[test]
+    fn abandoned_contended_and_backed_off_calls_are_not_counted() {
+        let id = register(three_algo_spec("abandon-paths", 47));
+        let s = site(id);
+        let holder = s.pre();
+        assert!(holder.is_tuning());
+        // A contended call, abandoned.
+        std::thread::spawn(move || drop(site(id).pre()))
+            .join()
+            .unwrap();
+        holder.post_outcome(MeasureOutcome::Ok(1.0));
+        // Plateau the site on constant measurements: the 34th tuned
+        // iteration is the 33rd stagnant one and opens a gap of 2.
+        let mut tuned = 1;
+        loop {
+            let g = s.pre();
+            if !g.is_tuning() {
+                drop(g); // a backed-off call, abandoned
+                break;
+            }
+            g.post_outcome(MeasureOutcome::Ok(1.0));
+            tuned += 1;
+        }
+        assert_eq!(tuned, 34);
+        assert_eq!(s.calls(), 34);
+        assert_eq!(s.contended(), 0);
+        assert_eq!(s.backed_off(), 0);
+        assert_eq!(s.tuned_iterations(), 34);
+        // The abandoned call still used up its place in the gap.
+        assert!(s.pre().is_tuning());
     }
 
     #[test]
@@ -1292,20 +1464,25 @@ mod tests {
     fn restart_rebuilds_the_tuner_and_republishes() {
         let id = register(three_algo_spec("restart", 37));
         let s = site(id);
-        for _ in 0..40 {
+        while s.tuned_iterations() < 40 {
             s.tuned(|_, _| {});
         }
         s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().log().len(), 40));
+        let calls = s.calls();
+        assert_eq!(calls, 40 + s.backed_off());
         assert_eq!(s.restarts(), 0);
         s.restart();
         assert_eq!(s.restarts(), 1);
         // Learned state is gone; traffic counters are not.
         s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().log().len(), 0));
-        assert_eq!(s.calls(), 40);
-        // The published decision is still valid and the site keeps tuning.
+        assert_eq!(s.calls(), calls);
+        // The published decision is still valid, and the rebuilt tuner
+        // tunes the very next call.
         let (algo, _) = s.slot.read_decision();
         assert!(algo < 3);
-        s.tuned(|_, _| {});
+        let g = s.pre();
+        assert!(g.is_tuning(), "a restart returns the site to full rate");
+        g.post();
         s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().log().len(), 1));
     }
 

@@ -67,6 +67,46 @@ impl Termination {
     }
 }
 
+/// Stagnation counter: how many consecutive iterations the best observed
+/// value has gone without improving by more than a relative `tolerance`.
+/// One implementation behind both [`Termination::Plateau`] and the site
+/// runtime's tuning-rate controller ([`crate::site`]).
+pub(crate) struct Plateau {
+    tolerance: f64,
+    /// Best value as of the last meaningful improvement.
+    best: f64,
+    /// Iterations since that improvement.
+    len: usize,
+}
+
+impl Plateau {
+    /// A counter with nothing observed yet: the first finite value always
+    /// counts as an improvement.
+    pub(crate) fn new(tolerance: f64) -> Self {
+        Plateau {
+            tolerance,
+            best: f64::INFINITY,
+            len: 0,
+        }
+    }
+
+    /// Record one iteration's value: an improvement of more than the
+    /// tolerance resets the count, anything else (NaN included) extends it.
+    pub(crate) fn observe(&mut self, value: f64) {
+        if value < self.best * (1.0 - self.tolerance) {
+            self.best = value;
+            self.len = 0;
+        } else {
+            self.len += 1;
+        }
+    }
+
+    /// Consecutive non-improving iterations.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+}
+
 /// An online tuning loop around a single searcher.
 pub struct OnlineTuner<S: Searcher> {
     searcher: S,
@@ -74,8 +114,7 @@ pub struct OnlineTuner<S: Searcher> {
     iteration: usize,
     log: Vec<Sample>,
     /// Iterations since the best value last improved meaningfully.
-    plateau_len: usize,
-    plateau_best: f64,
+    plateau: Plateau,
     /// Worst successful measurement, scaling the failure penalty.
     worst: Option<f64>,
     /// Count of failed measurements.
@@ -95,8 +134,7 @@ impl<S: Searcher> OnlineTuner<S> {
             termination,
             iteration: 0,
             log: Vec::new(),
-            plateau_len: 0,
-            plateau_best: f64::INFINITY,
+            plateau: Plateau::new(termination.plateau_tolerance()),
             worst: None,
             failures: 0,
             pending: None,
@@ -112,8 +150,11 @@ impl<S: Searcher> OnlineTuner<S> {
     /// keeps running the best-known configuration (online exploitation)
     /// rather than refusing to work.
     pub fn done(&self) -> bool {
-        self.termination
-            .is_met(self.iteration, self.searcher.converged(), self.plateau_len)
+        self.termination.is_met(
+            self.iteration,
+            self.searcher.converged(),
+            self.plateau.len(),
+        )
     }
 
     /// Ask for the next configuration to run (the first half of a tuning
@@ -256,15 +297,7 @@ impl<S: Searcher> OnlineTuner<S> {
     }
 
     fn finish_iteration(&mut self, config: Configuration, value: f64) -> Sample {
-        // Plateau tracking: count iterations without meaningful improvement
-        // of the best observed value.
-        let tol = self.termination.plateau_tolerance();
-        if value < self.plateau_best * (1.0 - tol) {
-            self.plateau_best = value;
-            self.plateau_len = 0;
-        } else {
-            self.plateau_len += 1;
-        }
+        self.plateau.observe(value);
         let sample = Sample {
             iteration: self.iteration,
             config,

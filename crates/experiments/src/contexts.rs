@@ -29,7 +29,7 @@
 //! the logical key forever. Artifacts: `results/contexts.json` plus the
 //! raw trace in `results/contexts_trace.jsonl`.
 
-use crate::sortstudy::{CONV_TOLERANCE, CONV_WINDOW};
+use crate::sortstudy::{tuning_iteration, CONV_TOLERANCE, CONV_WINDOW};
 use autotune::json::Json;
 use autotune::rng::Rng;
 use autotune::robust::MeasureOutcome;
@@ -49,7 +49,9 @@ pub struct ContextsConfig {
     /// as the midpoints between consecutive entries.
     pub classes: Vec<u32>,
     /// Sort requests per context key, for both the flip and the
-    /// warm-vs-cold streams (interleaved round-robin across keys).
+    /// warm-vs-cold streams (interleaved round-robin across keys), each
+    /// one a tuning iteration
+    /// ([`crate::sortstudy::tuning_iteration`]).
     pub requests_per_key: usize,
     /// Seed for request sizes, keys, and the per-key tuners.
     pub seed: u64,
@@ -214,14 +216,16 @@ fn input_for(key: SortKey, rng: &mut Rng) -> Vec<u64> {
 
 /// Drive `requests` interleaved rounds over `keys` on every table in
 /// `tables`, giving each table a clone of the *same* input so the runs
-/// are directly comparable.
+/// are directly comparable. Every request is one tuning iteration of its
+/// key, so a table's stream for a key is its first `requests` tuning
+/// iterations even after the key's site has plateaued and backs off.
 fn drive(tables: &[&SortSites], keys: &[SortKey], requests: usize, rng: &mut Rng) {
     for _round in 0..requests {
         for &key in keys {
             let data = input_for(key, rng);
             for table in tables {
                 let mut copy = data.clone();
-                let (got, _ms) = smallsort::sort_request_keyed(table, &mut copy);
+                let got = tuning_iteration(table, &mut copy);
                 debug_assert_eq!(got, key, "input shaped for the wrong key");
             }
         }

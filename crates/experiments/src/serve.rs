@@ -6,8 +6,11 @@
 //! and `serve/render` (case-study-2 choice over the four kd-tree builders
 //! with their parameter spaces) — and dispatches every `OP_MATCH` /
 //! `OP_RENDER` request through them. Because the poll loop is
-//! single-threaded, each request *is* a tuning iteration: the service
-//! converges while it serves.
+//! single-threaded, every request wins its site's claim: each one is a
+//! tuning iteration until the site's tuner plateaus, after which the
+//! site's tuning-rate controller backs off to one tuning call in up to 64
+//! and serves the rest from the converged decision. The service
+//! converges while it serves, and stops paying for tuning once it has.
 //!
 //! The third workload is size-classed: `OP_SORT` requests carry an array
 //! length, and dispatch lands on one of the [`smallsort::SortSites`]
@@ -16,7 +19,7 @@
 //! small-array sort finishes in microseconds — under the timer tick —
 //! the sort path times tuning iterations with
 //! [`autotune::robust::batched_time_ms`] rather than a single
-//! `Instant` read.
+//! `Instant` read; a backed-off sort request runs one sort.
 //!
 //! Each site is paired with a [`DriftMonitor`]. `OP_MORPH` requests
 //! switch the served workload mid-run (a 4× bigger corpus, a
@@ -467,6 +470,7 @@ fn site_json(name: &str, s: Site) -> Json {
         ("calls", Json::Num(s.calls() as f64)),
         ("tuned_iterations", Json::Num(s.tuned_iterations() as f64)),
         ("contended", Json::Num(s.contended() as f64)),
+        ("backed_off", Json::Num(s.backed_off() as f64)),
         ("restarts", Json::Num(s.restarts() as f64)),
     ];
     s.with_tuner(|t| {

@@ -23,13 +23,23 @@
 //! [`autotune::robust::batched_time_ms`]; the `measured_floor_ms` field
 //! records the host's measured tick so consumers can judge how many
 //! quanta the reported medians actually span.
+//!
+//! Every request the study drives is a tuning iteration
+//! ([`tuning_iteration`]). Once a class site has plateaued, its tuning-
+//! rate controller would serve most calls from the published decision,
+//! timed once on the guard's clock; those calls teach the tuner nothing,
+//! so the driver abandons them before any sort runs. A class's N
+//! requests are therefore its first N tuning iterations, back to back,
+//! and every `MeasureOutcome` in the trace is a batched measurement the
+//! tuner itself read.
 
 use autotune::json::Json;
 use autotune::rng::Rng;
+use autotune::robust::{batched_time_ms, MeasureOutcome};
 use autotune::stats;
 use autotune::telemetry::{self, export, Event, EventKind, MeasureStatus};
 use autotune::two_phase::NominalKind;
-use smallsort::{SortSites, ALGORITHM_NAMES};
+use smallsort::{sort_with, SortKey, SortSites, ALGORITHM_NAMES};
 
 /// Scale knobs. Defaults are the *quick* profile.
 #[derive(Debug, Clone)]
@@ -38,7 +48,8 @@ pub struct SortStudyConfig {
     /// whole [`smallsort`] class range.
     pub classes: Vec<u32>,
     /// Sort requests per class (interleaved round-robin across classes,
-    /// like a real mixed request stream).
+    /// like a real mixed request stream), each one a tuning iteration
+    /// ([`tuning_iteration`]).
     pub requests_per_class: usize,
     /// Seed for request sizes, keys, and the per-class tuners.
     pub seed: u64,
@@ -133,12 +144,40 @@ fn drive(cfg: &SortStudyConfig, sites: &SortSites) -> Vec<(u32, u64)> {
             let lo = (hi / 2) + 1;
             let n = lo + rng.next_below((hi - lo + 1) as u64) as usize;
             let mut data: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-            let (got, _ms) = smallsort::sort_request(sites, &mut data);
-            debug_assert_eq!(got, class);
+            let got = tuning_iteration(sites, &mut data);
+            debug_assert_eq!(got.class, class);
             counts[slot].1 += 1;
         }
     }
     counts
+}
+
+/// Run exactly one tuning iteration for `data`'s context key and leave
+/// `data` sorted: the tuning branch of [`smallsort::sort_request_keyed`],
+/// a batched measurement of the proposed sort on copies of the input.
+///
+/// A call the key's site would serve from its published decision (backed
+/// off by its tuning-rate controller, or contended) is dropped before
+/// anything runs. It would teach the tuner nothing, and an abandoned
+/// backed-off call still uses up its place in the controller's gap, so
+/// the next tuning call comes within 64 dispatches (DESIGN.md §12).
+pub fn tuning_iteration(sites: &SortSites, data: &mut [u64]) -> SortKey {
+    let key = SortKey::of(data);
+    let guard = loop {
+        let guard = sites.table().dispatch(&key);
+        if guard.is_tuning() {
+            break guard;
+        }
+    };
+    let (algorithm, config) = (guard.algorithm(), guard.config());
+    let mut scratch = data.to_vec();
+    let ms = batched_time_ms(|| {
+        scratch.copy_from_slice(data);
+        sort_with(algorithm, config, &mut scratch);
+    });
+    data.copy_from_slice(&scratch);
+    guard.post_outcome(MeasureOutcome::from_value(ms));
+    key
 }
 
 /// Measured runtimes and algorithm picks of one class, in trace order.
@@ -372,6 +411,18 @@ mod tests {
             assert_eq!(
                 t.measured, ok_for_tag,
                 "class {}: table and trace must agree",
+                t.class
+            );
+            // Every measured call was a tuning iteration, even after the
+            // class site plateaued and started backing off.
+            let starts_for_tag = events
+                .iter()
+                .filter(|e| e.site == t.tag)
+                .filter(|e| matches!(e.kind, EventKind::IterationStart { .. }))
+                .count() as u64;
+            assert_eq!(
+                t.measured, starts_for_tag,
+                "class {}: a measurement without a tuning iteration",
                 t.class
             );
         }

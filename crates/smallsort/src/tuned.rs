@@ -16,11 +16,14 @@
 //! demand and warm-started from the nearest already-learned key.
 //!
 //! Measurement is the second novelty: a single small-array sort is cheaper
-//! than a timer tick, so the tuning path times `k` back-to-back sorts of
-//! copies of the same unsorted input and divides
-//! ([`autotune::robust::batched_time_ms`]), while exploit-path production
-//! traffic pays exactly one sort and the site guard's ordinary single-shot
-//! clock — see [`sort_request`].
+//! than a timer tick, so a tuning iteration times `k` back-to-back sorts
+//! of copies of the same unsorted input and divides
+//! ([`autotune::robust::batched_time_ms`]), while every other call pays
+//! exactly one sort and the site guard's ordinary single-shot clock — see
+//! [`sort_request`]. Most calls are such exploit calls: a key that won
+//! its claim every time (single-threaded serving) still backs off once
+//! its tuner has plateaued, so the batched measurement is paid only while
+//! the key is still learning.
 
 use crate::{heap, insertion, merge, pdq, radix};
 use autotune::context::{ContextKey, ContextSites};
@@ -30,6 +33,7 @@ use autotune::robust::{batched_time_ms, MeasureOutcome};
 use autotune::site::{Site, SiteSpec};
 use autotune::space::{Configuration, Constraint, SearchSpace};
 use autotune::two_phase::{AlgorithmSpec, NominalKind};
+use std::cell::RefCell;
 
 /// Names of the five sort variants, index-aligned with the algorithm
 /// indices of every site built from [`sort_site_spec`] and with
@@ -219,6 +223,12 @@ pub fn sort_site_spec(name: impl Into<String>, nominal: NominalKind, seed: u64) 
     SiteSpec::algorithms(name, sort_algorithm_specs(), nominal, seed)
 }
 
+thread_local! {
+    /// The array each batched tuning run sorts; `data` itself keeps the
+    /// unsorted input the runs restore from.
+    static SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
 fn cutoff_of(config: &Configuration) -> usize {
     config.get(0).as_i64().clamp(1, 64) as usize
 }
@@ -333,29 +343,36 @@ impl SortSites {
 /// The key ([`SortKey::of`]: size class × presortedness) is computed
 /// from the data *before* sorting — one O(n) runs scan, the price of the
 /// context dispatch. The key's site picks the variant and configuration.
-/// A claim-winning call is a tuning iteration, and one small sort is
-/// cheaper than a timer tick — so it is timed by [`batched_time_ms`]:
-/// `k` back-to-back sorts of fresh copies of the *unsorted* input
+/// A tuning iteration ([`ContextGuard::is_tuning`](autotune::context::ContextGuard::is_tuning))
+/// needs a sample the tuner can rank by, and one small sort is cheaper
+/// than a timer tick — so it is timed by [`batched_time_ms`]: `k`
+/// back-to-back sorts of fresh copies of the *unsorted* input
 /// (re-sorting the already-sorted output would hand insertion sort its
-/// O(n) best case), divided by `k`. The per-batch memcpy restoring the
-/// input is inside the timed region; its cost is identical across
-/// variants, a constant per-key offset that cannot reorder them.
-/// Contended exploit-path calls pay exactly one sort and the guard's
-/// single-shot clock — those quantized samples feed telemetry, never the
-/// tuner.
+/// O(n) best case), divided by `k`. The copies go to a thread-local
+/// scratch buffer that is reused across calls, so a tuned call allocates
+/// only when its input outgrows every earlier one on its thread. The
+/// per-batch memcpy restoring the input is inside the timed region; its
+/// cost is identical across variants, a constant per-key offset that
+/// cannot reorder them. Every other call — a contended one, or one the
+/// key's tuning-rate controller backed off once the key plateaued — pays
+/// exactly one sort and the guard's single-shot clock; those quantized
+/// samples feed telemetry, never the tuner.
 pub fn sort_request_keyed(sites: &SortSites, data: &mut [u64]) -> (SortKey, f64) {
     let key = SortKey::of(data);
     let guard = sites.table.dispatch(&key);
     let algorithm = guard.algorithm();
     if guard.is_tuning() {
-        let config = guard.config().clone();
-        let original = data.to_vec();
-        let mut scratch = original.clone();
-        let ms = batched_time_ms(|| {
-            scratch.copy_from_slice(&original);
-            sort_with(algorithm, &config, &mut scratch);
+        let config = guard.config();
+        let ms = SCRATCH.with_borrow_mut(|scratch| {
+            scratch.clear();
+            scratch.extend_from_slice(data);
+            let ms = batched_time_ms(|| {
+                scratch.copy_from_slice(data);
+                sort_with(algorithm, config, scratch);
+            });
+            data.copy_from_slice(scratch);
+            ms
         });
-        data.copy_from_slice(&scratch);
         guard.post_outcome(MeasureOutcome::from_value(ms));
         (key, ms)
     } else {

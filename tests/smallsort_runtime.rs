@@ -9,7 +9,8 @@
 //!    table: concurrent sort requests of mixed sizes *and mixed
 //!    presortedness* must be counted exactly once at exactly the key
 //!    their `(size class, presort class)` pair owns, with every completed
-//!    call either a tuning iteration or a contended exploit. The presort
+//!    call exactly one of a tuning iteration, a contended exploit or a
+//!    call the key's tuning-rate controller backed off. The presort
 //!    class is a pure function of the data, so the test regenerates the
 //!    per-thread input streams afterward to replay the exact dispatch
 //!    schedule.
@@ -142,10 +143,22 @@ fn stress_exact_per_key_accounting_across_eight_threads() {
             "key {key:?}: at least one tuning iteration ran"
         );
         assert_eq!(
-            s.tuned_iterations() + s.contended(),
+            s.tuned_iterations() + s.contended() + s.backed_off(),
             s.calls(),
-            "key {key:?}: every call is tuned or contended"
+            "key {key:?}: every call is tuned, contended or backed off"
         );
+        assert_eq!(
+            stats.tuned_iterations,
+            s.tuned_iterations(),
+            "key {key:?}: per-key and site tuned counts agree"
+        );
+        s.with_tuner(|t| {
+            assert_eq!(
+                t.as_two_phase().unwrap().log().len() as u64,
+                stats.tuned_iterations,
+                "key {key:?}: tuner log must match the tuned-iteration count"
+            );
+        });
         total += stats.calls;
     }
     assert_eq!(
