@@ -290,17 +290,17 @@ fn main() {
     }
     c.final_summary();
 
-    let doc = Json::obj(vec![
-        ("id", Json::Str("constraints".to_string())),
-        ("budget", Json::Num(BUDGET as f64)),
-        ("repair_le_reject_everywhere", Json::Bool(everywhere)),
-        ("workloads", Json::Arr(workload_docs)),
-        (
-            "results",
-            Json::Arr(c.results().iter().map(result_json).collect()),
-        ),
-    ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_constraints.json");
-    std::fs::write(path, doc.to_string_pretty() + "\n").expect("write BENCH_constraints.json");
-    println!("\n→ {path}");
+    bench::write_bench_json(
+        "constraints",
+        vec![
+            ("id", Json::Str("constraints".to_string())),
+            ("budget", Json::Num(BUDGET as f64)),
+            ("repair_le_reject_everywhere", Json::Bool(everywhere)),
+            ("workloads", Json::Arr(workload_docs)),
+            (
+                "results",
+                Json::Arr(c.results().iter().map(result_json).collect()),
+            ),
+        ],
+    );
 }

@@ -182,46 +182,45 @@ fn main() {
         churn_stats.evictions, churn_stats.reinstatements
     );
 
-    let doc = Json::obj(vec![
-        ("id", Json::Str("contexts".into())),
-        ("quick", Json::Bool(quick)),
-        ("train_iters", Json::Num(train_iters as f64)),
-        ("probe_iters", Json::Num(probe_iters as f64)),
-        (
-            "probes",
-            Json::Arr(
-                pairs
-                    .iter()
-                    .map(|&(k, w, c)| {
-                        Json::obj(vec![
-                            ("key", Json::Num(k as f64)),
-                            ("warm_conv", Json::Num(w as f64)),
-                            ("cold_conv", Json::Num(c as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("warm_iterations", Json::Num(warm_total as f64)),
-        ("cold_iterations", Json::Num(cold_total as f64)),
-        (
-            "churn",
-            Json::obj(vec![
-                ("keys", Json::Num(CHURN_KEYS as f64)),
-                ("capacity", Json::Num(CHURN_CAPACITY as f64)),
-                ("resident_ns_per_dispatch", Json::Num(resident_ns)),
-                ("churning_ns_per_dispatch", Json::Num(churning_ns)),
-                ("evictions", Json::Num(churn_stats.evictions as f64)),
-                (
-                    "reinstatements",
-                    Json::Num(churn_stats.reinstatements as f64),
+    bench::write_bench_json(
+        "contexts",
+        vec![
+            ("id", Json::Str("contexts".into())),
+            ("train_iters", Json::Num(train_iters as f64)),
+            ("probe_iters", Json::Num(probe_iters as f64)),
+            (
+                "probes",
+                Json::Arr(
+                    pairs
+                        .iter()
+                        .map(|&(k, w, c)| {
+                            Json::obj(vec![
+                                ("key", Json::Num(k as f64)),
+                                ("warm_conv", Json::Num(w as f64)),
+                                ("cold_conv", Json::Num(c as f64)),
+                            ])
+                        })
+                        .collect(),
                 ),
-            ]),
-        ),
-    ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_contexts.json");
-    std::fs::write(path, doc.to_string_pretty() + "\n").expect("write BENCH_contexts.json");
-    println!("→ {path}");
+            ),
+            ("warm_iterations", Json::Num(warm_total as f64)),
+            ("cold_iterations", Json::Num(cold_total as f64)),
+            (
+                "churn",
+                Json::obj(vec![
+                    ("keys", Json::Num(CHURN_KEYS as f64)),
+                    ("capacity", Json::Num(CHURN_CAPACITY as f64)),
+                    ("resident_ns_per_dispatch", Json::Num(resident_ns)),
+                    ("churning_ns_per_dispatch", Json::Num(churning_ns)),
+                    ("evictions", Json::Num(churn_stats.evictions as f64)),
+                    (
+                        "reinstatements",
+                        Json::Num(churn_stats.reinstatements as f64),
+                    ),
+                ]),
+            ),
+        ],
+    );
 
     // The warm-start contract, on a surface with no measurement noise:
     // seeding from the neighbor's posterior can only shorten the road to

@@ -190,30 +190,30 @@ fn main() {
     c.final_summary();
 
     let tuner = tuner_convergence(if quick { 30 } else { 150 });
-    let doc = Json::obj(vec![
-        ("id", Json::Str("kernels".into())),
-        (
-            "corpus_bytes",
-            Json::Num(bench::bench_corpus().len() as f64),
-        ),
-        ("pattern_len", Json::Num(PAPER_QUERY.len() as f64)),
-        (
-            "host_kernels",
-            Json::Arr(
-                Kernel::all_available()
-                    .into_iter()
-                    .map(|k| Json::Str(k.name().into()))
-                    .collect(),
+    bench::write_bench_json(
+        "kernels",
+        vec![
+            ("id", Json::Str("kernels".into())),
+            (
+                "corpus_bytes",
+                Json::Num(bench::bench_corpus().len() as f64),
             ),
-        ),
-        (
-            "results",
-            Json::Arr(c.results().iter().map(result_json).collect()),
-        ),
-        ("speedups", Json::Arr(speedups(c.results()))),
-        ("tuner", tuner),
-    ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    std::fs::write(path, doc.to_string_pretty() + "\n").expect("write BENCH_kernels.json");
-    println!("\n→ {path}");
+            ("pattern_len", Json::Num(PAPER_QUERY.len() as f64)),
+            (
+                "host_kernels",
+                Json::Arr(
+                    Kernel::all_available()
+                        .into_iter()
+                        .map(|k| Json::Str(k.name().into()))
+                        .collect(),
+                ),
+            ),
+            (
+                "results",
+                Json::Arr(c.results().iter().map(result_json).collect()),
+            ),
+            ("speedups", Json::Arr(speedups(c.results()))),
+            ("tuner", tuner),
+        ],
+    );
 }

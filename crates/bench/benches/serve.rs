@@ -142,8 +142,6 @@ fn bench_served(sustained: u64, pingpong: u64) -> (f64, f64, u64, f64, f64) {
     }
 
     stop.stop();
-    // Wake the poll loop's shutdown check with one last (unanswered) frame.
-    let _ = client.send(OP_MATCH, b"");
     let report = server.join().expect("server thread").expect("serve ok");
     assert!(report.requests > sustained, "server saw the whole run");
     (
@@ -186,22 +184,22 @@ fn main() {
     println!("served throughput: {throughput:.0} req/s sustained ({server_requests} total at the server)");
     println!("served round-trip: p50 {p50_us:.1}µs  p99 {p99_us:.1}µs");
 
-    let doc = Json::obj(vec![
-        ("id", Json::Str("serve".into())),
-        ("corpus_kb", Json::Num(CORPUS_KB as f64)),
-        ("sustained_requests", Json::Num(sustained as f64)),
-        ("direct_ns_per_req", Json::Num(direct_ns)),
-        ("handler_ns_per_req", Json::Num(handler_ns)),
-        ("served_ns_per_req", Json::Num(served_ns)),
-        ("handler_overhead", Json::Num(handler_overhead)),
-        ("served_overhead", Json::Num(served_overhead)),
-        ("served_throughput_rps", Json::Num(throughput)),
-        ("pingpong_p50_us", Json::Num(p50_us)),
-        ("pingpong_p99_us", Json::Num(p99_us)),
-    ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, doc.to_string_pretty() + "\n").expect("write BENCH_serve.json");
-    println!("\n→ {path}");
+    bench::write_bench_json(
+        "serve",
+        vec![
+            ("id", Json::Str("serve".into())),
+            ("corpus_kb", Json::Num(CORPUS_KB as f64)),
+            ("sustained_requests", Json::Num(sustained as f64)),
+            ("direct_ns_per_req", Json::Num(direct_ns)),
+            ("handler_ns_per_req", Json::Num(handler_ns)),
+            ("served_ns_per_req", Json::Num(served_ns)),
+            ("handler_overhead", Json::Num(handler_overhead)),
+            ("served_overhead", Json::Num(served_overhead)),
+            ("served_throughput_rps", Json::Num(throughput)),
+            ("pingpong_p50_us", Json::Num(p50_us)),
+            ("pingpong_p99_us", Json::Num(p99_us)),
+        ],
+    );
 
     assert!(throughput > 0.0 && p99_us > 0.0);
     // The 15% bar only means something on a full run on an otherwise idle

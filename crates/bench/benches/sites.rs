@@ -312,39 +312,38 @@ fn main() {
     let parity = convergence_parity(parity_iters);
     println!("convergence parity (site vs direct, {parity_iters} iters x 4 seeds): {parity}");
 
-    let doc = Json::obj(vec![
-        ("id", Json::Str("sites".into())),
-        ("num_sites", Json::Num(NUM_SITES as f64)),
-        ("work_us", Json::Num(WORK_US as f64)),
-        ("host_cores", Json::Num(host_cores as f64)),
-        ("dispatch_direct_ns", Json::Num(d.direct)),
-        ("dispatch_site_ns", Json::Num(d.site)),
-        ("dispatch_overhead", Json::Num(overhead)),
-        ("dispatch_site_after_gap_ns", Json::Num(d.site_after_gap)),
-        ("dispatch_backed_off_ns", Json::Num(d.backed_off)),
-        (
-            "throughput",
-            Json::Arr(
-                legs.iter()
-                    .map(|&(threads, calls, contended, backed_off, wall_ms, cps)| {
-                        Json::obj(vec![
-                            ("threads", Json::Num(threads as f64)),
-                            ("calls", Json::Num(calls as f64)),
-                            ("contended", Json::Num(contended as f64)),
-                            ("backed_off", Json::Num(backed_off as f64)),
-                            ("wall_ms", Json::Num(wall_ms)),
-                            ("calls_per_sec", Json::Num(cps)),
-                        ])
-                    })
-                    .collect(),
+    bench::write_bench_json(
+        "sites",
+        vec![
+            ("id", Json::Str("sites".into())),
+            ("num_sites", Json::Num(NUM_SITES as f64)),
+            ("work_us", Json::Num(WORK_US as f64)),
+            ("dispatch_direct_ns", Json::Num(d.direct)),
+            ("dispatch_site_ns", Json::Num(d.site)),
+            ("dispatch_overhead", Json::Num(overhead)),
+            ("dispatch_site_after_gap_ns", Json::Num(d.site_after_gap)),
+            ("dispatch_backed_off_ns", Json::Num(d.backed_off)),
+            (
+                "throughput",
+                Json::Arr(
+                    legs.iter()
+                        .map(|&(threads, calls, contended, backed_off, wall_ms, cps)| {
+                            Json::obj(vec![
+                                ("threads", Json::Num(threads as f64)),
+                                ("calls", Json::Num(calls as f64)),
+                                ("contended", Json::Num(contended as f64)),
+                                ("backed_off", Json::Num(backed_off as f64)),
+                                ("wall_ms", Json::Num(wall_ms)),
+                                ("calls_per_sec", Json::Num(cps)),
+                            ])
+                        })
+                        .collect(),
+                ),
             ),
-        ),
-        ("aggregate_scaling", Json::Num(scaling)),
-        ("convergence_parity", Json::Bool(parity)),
-    ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sites.json");
-    std::fs::write(path, doc.to_string_pretty() + "\n").expect("write BENCH_sites.json");
-    println!("\n→ {path}");
+            ("aggregate_scaling", Json::Num(scaling)),
+            ("convergence_parity", Json::Bool(parity)),
+        ],
+    );
 
     assert!(parity, "site dispatch diverged from the direct tuner");
     // Every leg must compare tuning calls: a leg whose sites plateaued

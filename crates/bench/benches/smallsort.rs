@@ -193,45 +193,45 @@ fn main() {
             ])
         })
         .collect();
-    let doc = Json::obj(vec![
-        ("id", Json::Str("smallsort".into())),
-        ("floor_ns", Json::Num(floor_ns)),
-        ("batch_target_quanta", Json::Num(BATCH_TARGET_QUANTA)),
-        (
-            "requests_per_class",
-            Json::Num(cfg.requests_per_class as f64),
-        ),
-        ("classes", Json::Arr(tables)),
-        (
-            "distinct_winners",
-            Json::Num(study.distinct_winners() as f64),
-        ),
-        (
-            "dispatch",
-            Json::Arr(
-                dispatch
-                    .iter()
-                    .map(|d| {
-                        Json::obj(vec![
-                            ("class", Json::Num(d.class as f64)),
-                            ("direct_ns", Json::Num(d.direct_ns)),
-                            ("tuned_ns", Json::Num(d.tuned_ns)),
-                            ("amplification", Json::Num(d.amplification)),
-                            ("predicted_batch", Json::Num(d.predicted_batch as f64)),
-                            ("amortized_ns", Json::Num(d.amortized_ns)),
-                            (
-                                "amortized_amplification",
-                                Json::Num(d.amortized_amplification),
-                            ),
-                        ])
-                    })
-                    .collect(),
+    bench::write_bench_json(
+        "smallsort",
+        vec![
+            ("id", Json::Str("smallsort".into())),
+            ("floor_ns", Json::Num(floor_ns)),
+            ("batch_target_quanta", Json::Num(BATCH_TARGET_QUANTA)),
+            (
+                "requests_per_class",
+                Json::Num(cfg.requests_per_class as f64),
             ),
-        ),
-    ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_smallsort.json");
-    std::fs::write(path, doc.to_string_pretty() + "\n").expect("write BENCH_smallsort.json");
-    println!("\n→ {path}");
+            ("classes", Json::Arr(tables)),
+            (
+                "distinct_winners",
+                Json::Num(study.distinct_winners() as f64),
+            ),
+            (
+                "dispatch",
+                Json::Arr(
+                    dispatch
+                        .iter()
+                        .map(|d| {
+                            Json::obj(vec![
+                                ("class", Json::Num(d.class as f64)),
+                                ("direct_ns", Json::Num(d.direct_ns)),
+                                ("tuned_ns", Json::Num(d.tuned_ns)),
+                                ("amplification", Json::Num(d.amplification)),
+                                ("predicted_batch", Json::Num(d.predicted_batch as f64)),
+                                ("amortized_ns", Json::Num(d.amortized_ns)),
+                                (
+                                    "amortized_amplification",
+                                    Json::Num(d.amortized_amplification),
+                                ),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ],
+    );
 
     // The workload's reason to exist: context-split sites must learn
     // different winners for different size classes.

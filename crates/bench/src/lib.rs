@@ -10,6 +10,8 @@
 //! group/bench_function surface, median-of-samples reporting, and a
 //! `BENCH_QUICK=1` smoke mode for CI.
 
+use autotune::json::Json;
+use std::process::{Command, Stdio};
 use std::sync::OnceLock;
 
 /// A 256 KiB bible-like corpus, built once per bench process.
@@ -22,6 +24,53 @@ pub fn bench_corpus() -> &'static [u8] {
 pub fn bench_scene() -> &'static raytrace::Scene {
     static SCENE: OnceLock<raytrace::Scene> = OnceLock::new();
     SCENE.get_or_init(|| raytrace::cathedral(99, 1))
+}
+
+/// Write `BENCH_<bench>.json` at the workspace root and print its path.
+/// The file starts with a header that every bench shares, so files
+/// written on different commits and hosts can be compared: `bench`,
+/// `commit` (`git rev-parse HEAD`, or `unknown` outside git),
+/// `host_cores` (`available_parallelism`), `quick` (`BENCH_QUICK`) and
+/// `timer_resolution_ms`. The bench's own `fields` follow.
+pub fn write_bench_json(bench: &str, fields: Vec<(&str, Json)>) {
+    let path = format!("{}/../../BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, bench_doc(bench, fields).to_string_pretty() + "\n")
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("\n→ {path}");
+}
+
+/// The document [`write_bench_json`] writes: the header, then `fields`.
+fn bench_doc(bench: &str, fields: Vec<(&str, Json)>) -> Json {
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut pairs = vec![
+        ("bench", Json::Str(bench.into())),
+        ("commit", Json::Str(git_commit())),
+        ("host_cores", Json::Num(host_cores as f64)),
+        ("quick", Json::Bool(harness::quick_mode())),
+        (
+            "timer_resolution_ms",
+            Json::Num(autotune::robust::timer_resolution_ms()),
+        ),
+    ];
+    pairs.extend(fields);
+    Json::obj(pairs)
+}
+
+/// `git rev-parse HEAD` of the workspace, or `unknown` when it is not a
+/// git checkout (an enclosing repository's commit would be wrong).
+fn git_commit() -> String {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    if !std::path::Path::new(root).join(".git").exists() {
+        return "unknown".into();
+    }
+    Command::new("git")
+        .args(["-C", root, "rev-parse", "HEAD"])
+        .stderr(Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
 }
 
 pub mod harness {
@@ -54,7 +103,8 @@ pub mod harness {
         pub samples: usize,
     }
 
-    fn quick_mode() -> bool {
+    /// Is `BENCH_QUICK` set (to anything but `0`)?
+    pub fn quick_mode() -> bool {
         std::env::var("BENCH_QUICK").is_ok_and(|v| v != "0")
     }
 
@@ -226,6 +276,27 @@ mod tests {
         assert_eq!(a, b, "corpus built once");
         assert!(bench_corpus().len() >= 256 << 10);
         assert!(!bench_scene().triangles.is_empty());
+    }
+
+    #[test]
+    fn bench_files_start_with_the_shared_header() {
+        let doc = bench_doc("unit", vec![("id", Json::Str("unit".into()))]);
+        let Json::Obj(pairs) = &doc else {
+            panic!("a bench file is an object")
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        let header = [
+            "bench",
+            "commit",
+            "host_cores",
+            "quick",
+            "timer_resolution_ms",
+        ];
+        assert_eq!((&keys[..5], &keys[5..]), (&header[..], &["id"][..]));
+        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("unit"));
+        assert!(!doc.get("commit").and_then(Json::as_str).unwrap().is_empty());
+        let num = |key| doc.get(key).and_then(Json::as_f64).unwrap();
+        assert!(num("host_cores") >= 1.0 && num("timer_resolution_ms") > 0.0);
     }
 
     #[test]

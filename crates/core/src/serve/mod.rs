@@ -13,7 +13,9 @@
 //!   len][u8 op][payload]`) plus allocation-free parse/serialize helpers.
 //! * [`serve`] — the poll loop: nonblocking sockets, per-connection
 //!   reused read/write buffers, in-place frame parsing, batched response
-//!   writes. Single-threaded by design: one thread owns every socket, so
+//!   writes, and a `poll(2)` readiness wait on passes that moved nothing,
+//!   so an idle server sleeps until a socket is ready. Single-threaded by
+//!   design: one thread owns every socket, so
 //!   each request's site call wins the claim CAS — the serving loop *is*
 //!   the tuning loop, at the rate each site's tuning-rate controller sets
 //!   ([`crate::site`]): every request while a site learns, one in up to
@@ -56,9 +58,12 @@ use crate::json::Json;
 /// `false` to make the server answer with an [`protocol::OP_ERR`] frame.
 ///
 /// Handlers run on the poll-loop thread, so a site call inside `handle`
-/// always wins the site's claim: every served request is a full tuning
-/// iteration. This is also where drift detection lives — the handler owns
-/// one [`crate::drift::DriftMonitor`] per site and feeds it the measured
+/// always wins the site's claim: a served request is a tuning iteration
+/// whenever the site's tuning-rate controller ([`crate::site`]) calls
+/// for one — every request while the site learns, one in up to 64 once
+/// it has plateaued — and otherwise runs the published decision. This
+/// is also where drift detection lives — the handler owns one
+/// [`crate::drift::DriftMonitor`] per site and feeds it the measured
 /// runtime of each call (see [`crate::drift::observe_and_restart`]).
 pub trait RequestHandler {
     /// Handle one application frame; see the trait docs for the contract.

@@ -1,7 +1,9 @@
 //! The serving poll loop: nonblocking accept/read/dispatch/flush over
 //! plain `std::net`, engineered so the steady-state per-request cost is a
 //! frame parse, the site-dispatched work itself, and an amortized share
-//! of one `read`/`write` syscall per pipelined batch.
+//! of one `read`/`write` syscall per pipelined batch. A pass that moves
+//! no bytes blocks in `poll(2)` until a socket is ready, so an idle
+//! server is off the CPU and a request that arrives wakes it at once.
 
 use super::protocol::{self, Frame, Parse};
 use super::{LatencyHist, RequestHandler};
@@ -13,14 +15,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Knobs for [`serve`]. `Default` is tuned for the loopback benchmarks.
+/// Limits for [`serve`]: connections, drain time and output backlog.
+/// How an idle loop waits is fixed, not configured (see [`serve`]).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Connections beyond this are accepted and immediately closed.
     pub max_connections: usize,
-    /// Sleep when a full poll iteration moved no bytes (keeps an idle
-    /// server off the CPU without adding meaningful tail latency).
-    pub idle_sleep: Duration,
     /// How long the graceful-shutdown drain may spend flushing pending
     /// response bytes before connections are dropped.
     pub drain_timeout: Duration,
@@ -34,7 +34,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_connections: 64,
-            idle_sleep: Duration::from_micros(100),
             drain_timeout: Duration::from_secs(2),
             max_backlog: 64 << 20,
         }
@@ -118,6 +117,11 @@ impl ServeReport {
 
 /// Read-buffer chunk size: one `read` call tries to pull this much.
 const READ_CHUNK: usize = 64 << 10;
+
+/// Longest an idle pass blocks before the loop looks again at what no
+/// socket signals: an external [`StopFlag::stop`], and telemetry that
+/// other threads recorded for live subscribers.
+const IDLE_WAIT: Duration = Duration::from_millis(10);
 
 struct Conn {
     stream: TcpStream,
@@ -222,6 +226,14 @@ impl Conn {
 /// — accepts, reads, request dispatch through `handler`, telemetry
 /// streaming, writes — happens on the calling thread. Returns the run's
 /// [`ServeReport`] after the graceful drain.
+///
+/// A pass that moves no bytes waits for readiness: on the listener, for
+/// input on every connection that has not reached EOF, and for room to
+/// write on every connection with unflushed output. The wait ends after
+/// at most 10 ms, which bounds how late an external `stop` or a live
+/// subscriber's telemetry from other threads is noticed. The drain waits
+/// the same way for room to write, up to `drain_timeout`. On targets
+/// other than Linux both waits are a fixed 100 µs nap instead.
 pub fn serve(
     listener: TcpListener,
     handler: &mut dyn RequestHandler,
@@ -236,6 +248,7 @@ pub fn serve(
     // Telemetry-streaming scratch, reused across the whole run.
     let mut ev_scratch: Vec<Event> = Vec::new();
     let mut jsonl_scratch = String::new();
+    let mut readiness = Readiness::default();
 
     while !stop.is_stopped() {
         let mut moved = 0usize;
@@ -320,7 +333,7 @@ pub fn serve(
         conns.retain(|c| !c.dead);
 
         if moved == 0 {
-            std::thread::sleep(config.idle_sleep);
+            readiness.wait(Some(&listener), &conns, IDLE_WAIT);
         }
     }
 
@@ -336,10 +349,11 @@ pub fn serve(
             report.bytes_out += conn.flush() as u64;
             pending |= !conn.dead && conn.wpos < conn.wbuf.len();
         }
-        if !pending || Instant::now() >= deadline {
+        let now = Instant::now();
+        if !pending || now >= deadline {
             break;
         }
-        std::thread::sleep(Duration::from_micros(200));
+        readiness.wait(None, &conns, deadline - now);
     }
 
     report.elapsed_s = start.elapsed().as_secs_f64();
@@ -352,6 +366,91 @@ pub fn serve(
     report.p99_us = hist.quantile(0.99) / 1_000.0;
     report.max_us = hist.max_ns() as f64 / 1_000.0;
     Ok(report)
+}
+
+/// The loop's wait for socket readiness: one `poll(2)` on Linux, a fixed
+/// nap elsewhere.
+#[derive(Default)]
+struct Readiness {
+    /// The `pollfd` set, rebuilt by every wait; it keeps its capacity, so
+    /// the steady state allocates nothing.
+    #[cfg(target_os = "linux")]
+    fds: Vec<sys::PollFd>,
+}
+
+impl Readiness {
+    /// Block until a watched socket is ready or `timeout` has passed. With
+    /// a `listener` (an idle pass) the set is the listener, input on every
+    /// connection that has not reached EOF, and room to write on every
+    /// connection with unflushed output. Without one (the drain) it is
+    /// room to write only. A socket at EOF stays readable for good, so
+    /// watching one for input would end every wait at once.
+    #[cfg(target_os = "linux")]
+    fn wait(&mut self, listener: Option<&TcpListener>, conns: &[Conn], timeout: Duration) {
+        use std::os::fd::AsRawFd;
+        self.fds.clear();
+        if let Some(listener) = listener {
+            self.fds
+                .push(sys::PollFd::new(listener.as_raw_fd(), sys::POLLIN));
+        }
+        for conn in conns.iter().filter(|c| !c.dead) {
+            let mut events = 0;
+            if listener.is_some() && !conn.close_after_flush {
+                events |= sys::POLLIN;
+            }
+            if conn.wpos < conn.wbuf.len() {
+                events |= sys::POLLOUT;
+            }
+            if events != 0 {
+                self.fds
+                    .push(sys::PollFd::new(conn.stream.as_raw_fd(), events));
+            }
+        }
+        // Round up, so a sub-millisecond remainder still blocks.
+        let ms = timeout.as_micros().div_ceil(1_000).min(i32::MAX as u128) as i32;
+        // SAFETY: `fds` points to `fds.len()` initialized `pollfd`s that
+        // stay alive and unaliased for the call. The result is not read:
+        // an error (EINTR) only ends the wait early, and the loop then
+        // polls its sockets again.
+        unsafe { sys::poll(self.fds.as_mut_ptr(), self.fds.len() as _, ms) };
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    fn wait(&mut self, _listener: Option<&TcpListener>, _conns: &[Conn], timeout: Duration) {
+        /// The nap that stands in for readiness where `poll` is not declared.
+        const NAP: Duration = Duration::from_micros(100);
+        std::thread::sleep(NAP.min(timeout));
+    }
+}
+
+#[cfg(target_os = "linux")]
+mod sys {
+    use std::ffi::{c_int, c_short, c_ulong};
+
+    pub const POLLIN: c_short = 0x001;
+    pub const POLLOUT: c_short = 0x004;
+
+    /// `struct pollfd` from `<poll.h>`.
+    #[repr(C)]
+    pub struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+
+    impl PollFd {
+        pub fn new(fd: c_int, events: c_short) -> Self {
+            PollFd {
+                fd,
+                events,
+                revents: 0,
+            }
+        }
+    }
+
+    extern "C" {
+        pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
 }
 
 /// Parse and dispatch every complete frame in the connection's buffer,
@@ -570,14 +669,55 @@ mod tests {
     }
 
     fn spawn_server() -> (String, std::thread::JoinHandle<ServeReport>, StopFlag) {
+        let (addr, handle, stop, _) = spawn_server_with_tid();
+        (addr, handle, stop)
+    }
+
+    /// Like `spawn_server`, plus the server thread's kernel thread id
+    /// (from `/proc/thread-self`; `None` where that does not exist), whose
+    /// scheduler counters the readiness-wait tests read.
+    fn spawn_server_with_tid() -> (
+        String,
+        std::thread::JoinHandle<ServeReport>,
+        StopFlag,
+        Option<String>,
+    ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let stop = StopFlag::new();
         let stop2 = stop.clone();
+        let (tid_tx, tid_rx) = std::sync::mpsc::channel();
         let handle = std::thread::spawn(move || {
+            let tid = std::fs::read_link("/proc/thread-self")
+                .ok()
+                .and_then(|link| Some(link.file_name()?.to_string_lossy().into_owned()));
+            tid_tx.send(tid).unwrap();
             serve(listener, &mut Reverser, &ServeConfig::default(), &stop2).unwrap()
         });
-        (addr, handle, stop)
+        (addr, handle, stop, tid_rx.recv().unwrap())
+    }
+
+    /// `voluntary_ctxt_switches` of a thread of this process: how often
+    /// it blocked.
+    #[cfg(target_os = "linux")]
+    fn voluntary_switches(tid: &str) -> u64 {
+        let status = std::fs::read_to_string(format!("/proc/self/task/{tid}/status")).unwrap();
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|v| v.trim().parse().ok())
+            .expect("status reports voluntary_ctxt_switches")
+    }
+
+    /// On-CPU nanoseconds of a thread of this process (the first field of
+    /// its `schedstat`).
+    #[cfg(target_os = "linux")]
+    fn on_cpu_ns(tid: &str) -> u64 {
+        let stat = std::fs::read_to_string(format!("/proc/self/task/{tid}/schedstat")).unwrap();
+        stat.split_whitespace()
+            .next()
+            .and_then(|f| f.parse().ok())
+            .expect("schedstat starts with on-CPU ns")
     }
 
     #[test]
@@ -673,5 +813,108 @@ mod tests {
         stop.stop();
         let report = handle.join().unwrap();
         assert_eq!(report.requests, 1);
+    }
+
+    /// An idle server blocks until a socket is ready or the wait's timeout
+    /// passes; it does not wake every few hundred microseconds.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_idle_connection_does_not_wake_the_server() {
+        let (addr, handle, stop, tid) = spawn_server_with_tid();
+        let tid = tid.expect("the server thread has a tid");
+        let mut c = Client::connect(&addr).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        c.request(protocol::OP_PING, b"x").unwrap();
+        let before = voluntary_switches(&tid);
+        std::thread::sleep(Duration::from_millis(300));
+        let woke = voluntary_switches(&tid) - before;
+        stop.stop();
+        handle.join().unwrap();
+        assert!(woke <= 100, "the idle server woke {woke} times in 300 ms");
+    }
+
+    /// A client that pipelines more echoes than the socket buffers hold,
+    /// half-closes, and stops reading: the server, at EOF on that socket
+    /// and unable to write, must wait for room to write rather than spin
+    /// on the EOF's standing readability. Every byte still arrives in
+    /// order once the client reads.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_half_closed_slow_reader_does_not_spin_the_server() {
+        const FRAMES: usize = 150;
+        const PAYLOAD: usize = 60_000;
+        let (addr, handle, stop, tid) = spawn_server_with_tid();
+        let tid = tid.expect("the server thread has a tid");
+        let mut s = TcpStream::connect(&addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut frames = Vec::with_capacity(FRAMES * (PAYLOAD + 5));
+        for i in 0..FRAMES {
+            protocol::write_frame(&mut frames, protocol::OP_PING, &[i as u8; PAYLOAD]);
+        }
+        s.write_all(&frames).unwrap();
+        s.shutdown(std::net::Shutdown::Write).unwrap();
+
+        // Much of the input is still in the socket buffers when the write
+        // returns. Ask a second connection for the server's request count
+        // until every ping is in, so the window below measures the stall
+        // alone. A stats answer counts the stats requests before it.
+        let mut probe = Client::connect(&addr).unwrap();
+        probe
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut probes = 0u64;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let (_, body) = probe.request(protocol::OP_STATS, b"").unwrap();
+            let stats = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+            let requests = stats.get("requests").and_then(Json::as_f64).unwrap() as u64;
+            probes += 1;
+            if requests - (probes - 1) == FRAMES as u64 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the server never took in every ping"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let before = on_cpu_ns(&tid);
+        std::thread::sleep(Duration::from_millis(200));
+        let busy_ms = (on_cpu_ns(&tid) - before) as f64 / 1e6;
+
+        let mut echoed = Vec::new();
+        s.read_to_end(&mut echoed).unwrap();
+        assert_eq!(echoed, frames, "every echo arrives, in order");
+        stop.stop();
+        assert_eq!(handle.join().unwrap().requests, FRAMES as u64 + probes);
+        assert!(
+            busy_ms < 20.0,
+            "the server spent {busy_ms:.1} ms on-CPU in 200 ms of a stalled reader"
+        );
+    }
+
+    /// Readiness wakes the loop for every byte of a frame that arrives
+    /// slowly; the frame is answered once, when it is complete.
+    #[test]
+    fn a_dribbled_frame_gets_exactly_one_answer() {
+        let (addr, handle, _stop) = spawn_server();
+        let mut c = Client::connect(&addr).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut frame = Vec::new();
+        protocol::write_frame(&mut frame, protocol::OP_MATCH, b"dribble");
+        for byte in &frame {
+            c.send_raw(std::slice::from_ref(byte)).unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let mut body = Vec::new();
+        assert_eq!(c.recv_into(&mut body).unwrap(), protocol::OP_MATCH);
+        assert_eq!(body, b"elbbird");
+        // The next frame back answers the next request: nothing else was
+        // sent in between.
+        let (op, _) = c.request(protocol::OP_QUIT, b"").unwrap();
+        assert_eq!(op, protocol::OP_QUIT);
+        let report = handle.join().unwrap();
+        assert_eq!((report.app_requests, report.requests), (1, 2));
     }
 }
