@@ -12,6 +12,9 @@
 //!   reinstates another) against the same cycle on a full-capacity
 //!   table. The eviction path costs one rebind — bounded, not free; a
 //!   runaway would blow the ratio assertion.
+//! * **Two threads, one table** — the full-capacity cycle again while a
+//!   second thread dispatches into the same table, in ns per call per
+//!   thread: what sharing a table costs when resident keys take no lock.
 //!
 //! Persists `BENCH_contexts.json` at the workspace root.
 
@@ -25,6 +28,7 @@ use autotune::stats;
 use autotune::two_phase::{AlgorithmSpec, NominalKind};
 use bench::harness::Criterion;
 use experiments::sortstudy::{CONV_TOLERANCE, CONV_WINDOW};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -163,6 +167,26 @@ fn main() {
             call(&churning, Key(i % CHURN_KEYS));
         })
     });
+    // The resident cycle on this thread while a second thread runs the
+    // same cycle, half a lap ahead, into the same table.
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut i = CHURN_KEYS / 2;
+            while !stop.load(Ordering::Relaxed) {
+                i += 1;
+                call(&resident, Key(i % CHURN_KEYS));
+            }
+        });
+        group.bench_function("resident_2t", |b| {
+            let mut i = 0i64;
+            b.iter(|| {
+                i += 1;
+                call(&resident, Key(i % CHURN_KEYS));
+            })
+        });
+        stop.store(true, Ordering::Relaxed);
+    });
     group.finish();
     c.final_summary();
 
@@ -175,10 +199,12 @@ fn main() {
     };
     let resident_ns = median_of("resident");
     let churning_ns = median_of("churning");
+    let resident_2t_ns = median_of("resident_2t");
     let churn_stats = churning.stats();
     println!(
         "\nchurn overhead: resident {resident_ns:.0}ns vs churning {churning_ns:.0}ns per \
-         dispatch ({} evictions, {} reinstatements)",
+         dispatch ({} evictions, {} reinstatements); resident on 2 threads {resident_2t_ns:.0}ns \
+         per dispatch per thread",
         churn_stats.evictions, churn_stats.reinstatements
     );
 
@@ -212,6 +238,7 @@ fn main() {
                     ("capacity", Json::Num(CHURN_CAPACITY as f64)),
                     ("resident_ns_per_dispatch", Json::Num(resident_ns)),
                     ("churning_ns_per_dispatch", Json::Num(churning_ns)),
+                    ("resident_2t_ns_per_dispatch", Json::Num(resident_2t_ns)),
                     ("evictions", Json::Num(churn_stats.evictions as f64)),
                     (
                         "reinstatements",

@@ -11,6 +11,11 @@
 //! feature vector so keys have a notion of *nearness*. A
 //! [`ContextSites`] table maps keys to sites dynamically:
 //!
+//! * **Lock-free resident dispatch** — a dispatch whose key is already
+//!   bound finds its binding through a hash index, pins it and validates
+//!   it without taking the table lock, so threads dispatching into one
+//!   table do not serialize. Admission, eviction and the inspection
+//!   methods take the lock; a lookup that misses falls back to it.
 //! * **LRU-bounded allocation** — the table holds at most `capacity`
 //!   registry slots in steady state (named `{prefix}/slotNN`). Unbounded
 //!   key spaces are safe: when every slot is bound and a new key arrives,
@@ -40,13 +45,15 @@
 //! scope, so exported JSONL lines carry a `"context"` field naming the
 //! logical key next to the `"site"` field naming the (recycled) slot.
 //!
-//! DESIGN.md §11 documents the contract, the eviction semantics and the
-//! seeding rule; `smallsort::SortKey` (size class × presortedness) is the
-//! worked example.
+//! DESIGN.md §11 documents the contract, the eviction handshake that lets
+//! resident dispatch skip the lock, and the seeding rule;
+//! `smallsort::SortKey` (size class × presortedness) is the worked
+//! example.
 
+use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::robust::MeasureOutcome;
@@ -59,10 +66,11 @@ use crate::telemetry;
 /// cross-context warm-starting.
 ///
 /// Implementations should be cheap to clone and compare — the table
-/// hashes keys on every dispatch. Derive `Clone + PartialEq + Eq + Hash`
-/// and keep the payload to a few integers. Bucket raw features (e.g.
-/// ceil-log2 of an input length) rather than hashing them raw: every
-/// distinct key gets its own tuner, so the key space must be coarse
+/// hashes and compares keys on every dispatch, from many threads at once
+/// and without a lock (hence `Sync`). Derive `Clone + PartialEq + Eq +
+/// Hash` and keep the payload to a few integers. Bucket raw features
+/// (e.g. ceil-log2 of an input length) rather than hashing them raw:
+/// every distinct key gets its own tuner, so the key space must be coarse
 /// enough that each class sees repeated traffic (DESIGN.md §11 discusses
 /// the trade-off).
 ///
@@ -88,7 +96,7 @@ use crate::telemetry;
 /// assert_eq!(a.distance(&b), 3); // |5-7| + |0-1|
 /// assert_eq!(a.label(), "c05/random");
 /// ```
-pub trait ContextKey: Clone + Eq + Hash + Send + 'static {
+pub trait ContextKey: Clone + Eq + Hash + Send + Sync + 'static {
     /// The ordered feature vector nearness is measured over. Every key
     /// of one type should return the same length; features should be on
     /// comparable scales (bucket indices, not raw byte counts) since
@@ -126,6 +134,41 @@ fn alloc_context_id() -> u32 {
     id
 }
 
+/// The hash the index is probed by, computed once per dispatch.
+fn hash_key<K: Hash>(key: &K) -> u64 {
+    let mut h = KeyHasher(0);
+    key.hash(&mut h);
+    h.finish()
+}
+
+/// FxHash's multiply-rotate step, one word per integer the key hashes:
+/// ~3 ns per `smallsort::SortKey` where SipHash takes 8–11 ns (Xeon VM,
+/// 2 vCPUs). Keys are bucketed input classes, and a collision only
+/// lengthens a probe: validation compares whole keys.
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word.into());
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The shift folds the high bits, which the multiplies mix best,
+        // into the low bits the index masks.
+        self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (self.0 >> 29)
+    }
+}
+
 /// Per-key traffic counters, exact under concurrency (the stress test in
 /// `tests/context_runtime.rs` pins them). Survive eviction: counts carry
 /// across park / re-admit cycles.
@@ -161,20 +204,83 @@ pub struct ContextStats {
     pub overflows: u64,
 }
 
-/// One recycled registry slot owned by the table.
-struct PoolSlot<K> {
+/// The half of a pool slot that dispatch reads without the table lock:
+/// the key its site serves and the accounting that decides when it may
+/// serve another. Allocated once per registry slot and never freed, like
+/// the slot it wraps (so at most [`site::MAX_SITES`] per process): guards
+/// and the index hold plain `&'static` references.
+struct Binding<K> {
     site: Site,
-    key: K,
-    context: u32,
-    /// LRU clock value at last dispatch.
-    last_used: u64,
-    /// Dispatches currently in flight through this binding. Incremented
-    /// under the table lock at dispatch, decremented with `Release` when
-    /// the [`InFlight`] share drops; the evictor's `Acquire` load of 0
-    /// therefore orders every posted call's counter bump before the
-    /// eviction's stats snapshot. A busy binding is never evicted — the
-    /// table grows instead (see [`ContextStats::overflows`]).
-    in_flight: Arc<AtomicUsize>,
+    /// Even while the binding is stable, odd while an eviction is
+    /// retiring it ([`Binding::try_retire`]); a rebind advances it by 2.
+    generation: AtomicU64,
+    /// Calls pinned to this binding: every dispatch's guard, and every
+    /// lock-free lookup while it validates. A pinned binding is never
+    /// rebound — the table grows instead (see [`ContextStats::overflows`]).
+    in_flight: AtomicUsize,
+    /// Table clock at the last dispatch.
+    last_used: AtomicU64,
+    context: AtomicU32,
+    /// [`hash_key`] of `key`.
+    hash: AtomicU64,
+    /// Written only by an eviction that won the handshake.
+    key: UnsafeCell<K>,
+}
+
+// SAFETY: every field but `key` is an atomic or immutable. `key` is
+// written only under the table lock, by an eviction that won the
+// handshake in `Binding::try_retire`: it stored an odd generation
+// (`SeqCst`), then read an in-flight count of 0 (`SeqCst`). A lock-free
+// reader pins first (`SeqCst` `fetch_add`) and reads the key only after
+// loading an even generation (`SeqCst`). In the single total order of
+// those four operations, either the reader's pin comes before the
+// evictor's count read — then the evictor sees the pin and backs off, or
+// reads the reader's `Release` unpin, which orders the reader's key read
+// before the write — or the evictor's odd store comes before the
+// reader's generation load, which then sees the odd generation (and
+// reads no key) or the even one the evictor stores with `Release` after
+// the write (and reads the new key in full). Readers that hold the table
+// lock never overlap a write at all. Readers on many threads share `&K`,
+// hence `K: Sync`.
+unsafe impl<K: Send + Sync> Sync for Binding<K> {}
+
+impl<K: ContextKey> Binding<K> {
+    /// The bound key.
+    ///
+    /// # Safety
+    ///
+    /// The caller holds the table lock, or has pinned this binding and
+    /// then loaded an even generation (see the `Sync` impl).
+    unsafe fn key(&self) -> &K {
+        unsafe { &*self.key.get() }
+    }
+
+    fn context(&self) -> u32 {
+        self.context.load(Ordering::Relaxed)
+    }
+
+    /// Steps 1–2 of the eviction handshake, under the table lock: make
+    /// the generation odd, then check that no call is pinned. On success
+    /// the generation stays odd until the rebind completes; a binding
+    /// found busy gets its even generation back.
+    fn try_retire(&self) -> bool {
+        if self.in_flight.load(Ordering::Relaxed) != 0 {
+            return false; // visibly busy: not a candidate
+        }
+        let generation = self.generation.load(Ordering::Relaxed);
+        self.generation.store(generation + 1, Ordering::SeqCst);
+        if self.in_flight.load(Ordering::SeqCst) == 0 {
+            return true;
+        }
+        self.generation.store(generation, Ordering::Release);
+        false
+    }
+}
+
+/// The lock-only half of a pool slot: this key's share of the slot's
+/// traffic counters.
+struct PoolSlot<K: 'static> {
+    binding: &'static Binding<K>,
     /// `site.calls()` / `site.tuned_iterations()` at bind time — the
     /// slot counters count the slot, these bases carve out this key's
     /// share.
@@ -184,36 +290,106 @@ struct PoolSlot<K> {
     carried: KeyStats,
 }
 
-impl<K> PoolSlot<K> {
+impl<K: 'static> PoolSlot<K> {
     fn stats_now(&self) -> KeyStats {
+        let site = self.binding.site;
         KeyStats {
-            calls: self.carried.calls + (self.site.calls() - self.calls_base),
+            calls: self.carried.calls + (site.calls() - self.calls_base),
             tuned_iterations: self.carried.tuned_iterations
-                + (self.site.tuned_iterations() - self.tuned_base),
+                + (site.tuned_iterations() - self.tuned_base),
             admissions: self.carried.admissions,
         }
     }
 }
 
-/// RAII share of a binding's in-flight count: taken under the table
-/// lock at bind, released on drop — including panic unwinds (a leaked
-/// count would permanently mark the binding busy, forcing every later
-/// admission that targets it onto the overflow path).
-struct InFlight(Arc<AtomicUsize>);
+/// RAII pin on a binding's in-flight count, released on drop — including
+/// panic unwinds (a leaked count would permanently mark the binding busy,
+/// forcing every later admission that targets it onto the overflow path).
+struct InFlight(&'static AtomicUsize);
 
 impl InFlight {
-    fn enter(counter: &Arc<AtomicUsize>) -> InFlight {
-        counter.fetch_add(1, Ordering::Relaxed);
-        InFlight(Arc::clone(counter))
+    fn enter(counter: &'static AtomicUsize) -> InFlight {
+        // `SeqCst`: ordered before the generation load that validates a
+        // lock-free lookup (see the `Sync` impl on `Binding`).
+        counter.fetch_add(1, Ordering::SeqCst);
+        InFlight(counter)
     }
 }
 
 impl Drop for InFlight {
     fn drop(&mut self) {
-        // `Release` pairs with the evictor's `Acquire` idleness check:
-        // everything this call did to the site happens-before a later
-        // rebind of its slot.
+        // `Release` pairs with the evictor's `SeqCst` idleness check:
+        // everything this call did to the site, and a lookup's key read,
+        // happens-before a later rebind of its slot.
         self.0.fetch_sub(1, Ordering::Release);
+    }
+}
+
+/// A table's LRU clock, advanced on every dispatch. It has a cache line
+/// of its own: every dispatch writes it, and every dispatch reads the
+/// index pointer, which a shared line would evict on each write.
+#[repr(align(64))]
+struct Clock(AtomicU64);
+
+impl Clock {
+    fn tick(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::Relaxed)
+    }
+}
+
+/// Binding pointers by key hash, with linear probing: the lookup hint the
+/// lock-free path probes. Written only under the table lock and kept at
+/// most half full, so a probe under the lock always ends at an empty slot
+/// and finds every resident key.
+struct Index<K> {
+    slots: Box<[AtomicPtr<Binding<K>>]>,
+}
+
+impl<K: ContextKey> Index<K> {
+    /// An empty index with room for `bindings`.
+    fn for_pool(bindings: usize) -> Self {
+        let len = (2 * bindings).next_power_of_two();
+        Index {
+            slots: (0..len).map(|_| AtomicPtr::default()).collect(),
+        }
+    }
+
+    fn fits(&self, bindings: usize) -> bool {
+        2 * bindings <= self.slots.len()
+    }
+
+    /// The bindings along `hash`'s probe sequence, up to the first empty
+    /// slot. Bounded by the index length: a reader racing a rebuild may
+    /// find no empty slot at all.
+    fn probe(&self, hash: u64) -> impl Iterator<Item = &'static Binding<K>> + '_ {
+        let mask = self.slots.len() - 1;
+        (0..self.slots.len())
+            .map(move |d| {
+                self.slots[(hash as usize).wrapping_add(d) & mask].load(Ordering::Acquire)
+            })
+            .take_while(|p| !p.is_null())
+            // SAFETY: only pointers to leaked, never-freed bindings are stored.
+            .map(|p| unsafe { &*p })
+    }
+
+    /// Lay `bindings` out afresh, under the table lock. Only the slots
+    /// that change are stored, so a key whose place did not move stays
+    /// visible to lock-free readers throughout.
+    fn rebuild(&self, bindings: impl Iterator<Item = &'static Binding<K>>) {
+        let mask = self.slots.len() - 1;
+        let mut layout: Vec<*mut Binding<K>> = vec![std::ptr::null_mut(); self.slots.len()];
+        for b in bindings {
+            let mut i = b.hash.load(Ordering::Relaxed) as usize & mask;
+            while !layout[i].is_null() {
+                i = (i + 1) & mask;
+            }
+            layout[i] = std::ptr::from_ref(b).cast_mut();
+        }
+        for (slot, p) in self.slots.iter().zip(layout) {
+            if slot.load(Ordering::Relaxed) != p {
+                slot.store(p, Ordering::Release);
+            }
+        }
     }
 }
 
@@ -224,23 +400,34 @@ struct Parked {
     stats: KeyStats,
 }
 
-struct Inner<K> {
+struct Inner<K: 'static> {
+    /// Every pool slot is bound to a key.
     pool: Vec<PoolSlot<K>>,
-    /// key → index into `pool`, for currently bound keys.
-    resident: HashMap<K, usize>,
     parked: HashMap<K, Parked>,
-    /// LRU clock: bumped on every dispatch.
-    tick: u64,
+    /// Every index the table has published, the current one last. One
+    /// outgrown by the pool is kept for readers that may still probe it.
+    indexes: Vec<Arc<Index<K>>>,
     stats: ContextStats,
+}
+
+impl<K: ContextKey> Inner<K> {
+    /// `key`'s pool slot, if it is bound.
+    fn resident(&self, key: &K) -> Option<&PoolSlot<K>> {
+        // SAFETY: `&self` comes from the table lock.
+        self.pool.iter().find(|s| unsafe { s.binding.key() } == key)
+    }
 }
 
 /// A keyed family of tuning sites with LRU-bounded slot allocation,
 /// eviction parking and nearest-neighbor warm-starting (see the
 /// [module docs](crate::context)).
 ///
-/// The table is `Sync`: dispatches from many threads serialize briefly on
-/// an internal lock for the key → slot lookup, then run the measured
-/// call itself through the site's lock-free claim/exploit protocol.
+/// The table is `Sync`. A dispatch whose key is resident takes no lock:
+/// it finds and pins the key's binding through a hash index, then runs
+/// the measured call through the site's lock-free claim/exploit
+/// protocol. Admissions, evictions and the inspection methods
+/// ([`ContextSites::stats`], [`ContextSites::key_stats`], …) take an
+/// internal lock.
 ///
 /// ```
 /// use autotune::context::{ContextKey, ContextSites};
@@ -280,6 +467,9 @@ pub struct ContextSites<K: ContextKey> {
     capacity: usize,
     warm_start: bool,
     spec_for: Box<dyn Fn(&K) -> SiteSpec + Send + Sync>,
+    /// The current index, the last of `Inner::indexes`.
+    index: AtomicPtr<Index<K>>,
+    clock: Clock,
     inner: Mutex<Inner<K>>,
 }
 
@@ -297,16 +487,18 @@ impl<K: ContextKey> ContextSites<K> {
         spec_for: impl Fn(&K) -> SiteSpec + Send + Sync + 'static,
     ) -> Self {
         assert!(capacity > 0, "context table needs at least one slot");
+        let index = Arc::new(Index::for_pool(capacity));
         ContextSites {
             prefix: prefix.into(),
             capacity,
             warm_start: true,
             spec_for: Box::new(spec_for),
+            index: AtomicPtr::new(Arc::as_ptr(&index).cast_mut()),
+            clock: Clock(AtomicU64::new(0)),
             inner: Mutex::new(Inner {
                 pool: Vec::new(),
-                resident: HashMap::new(),
                 parked: HashMap::new(),
-                tick: 0,
+                indexes: vec![index],
                 stats: ContextStats::default(),
             }),
         }
@@ -331,8 +523,8 @@ impl<K: ContextKey> ContextSites<K> {
     /// Dispatch one call for `key`: admit the key if necessary (evicting
     /// the least recently used *idle* binding when the pool is full, or
     /// growing the pool when every binding is busy — dispatch never
-    /// waits on another call's guard), then enter its site. The returned
-    /// guard mirrors
+    /// waits on another call's guard), then enter its site. A resident
+    /// key takes no lock. The returned guard mirrors
     /// [`crate::site::SiteGuard`]: call [`ContextGuard::post`] /
     /// [`ContextGuard::post_outcome`] around the interchangeable code, or
     /// drop it to abandon the call. The proposal and the report both run
@@ -383,10 +575,10 @@ impl<K: ContextKey> ContextSites<K> {
     /// events.
     pub fn context_id(&self, key: &K) -> Option<u32> {
         let inner = self.inner.lock().unwrap();
-        if let Some(&i) = inner.resident.get(key) {
-            return Some(inner.pool[i].context);
+        match inner.resident(key) {
+            Some(slot) => Some(slot.binding.context()),
+            None => inner.parked.get(key).map(|p| p.context),
         }
-        inner.parked.get(key).map(|p| p.context)
     }
 
     /// Per-key traffic counters (resident or parked), `None` for keys
@@ -394,10 +586,10 @@ impl<K: ContextKey> ContextSites<K> {
     /// in-flight accounting that gates eviction.
     pub fn key_stats(&self, key: &K) -> Option<KeyStats> {
         let inner = self.inner.lock().unwrap();
-        if let Some(&i) = inner.resident.get(key) {
-            return Some(inner.pool[i].stats_now());
+        match inner.resident(key) {
+            Some(slot) => Some(slot.stats_now()),
+            None => inner.parked.get(key).map(|p| p.stats),
         }
-        inner.parked.get(key).map(|p| p.stats)
     }
 
     /// Table-level admission / eviction counters.
@@ -407,7 +599,7 @@ impl<K: ContextKey> ContextSites<K> {
 
     /// Number of currently bound keys (≤ [`ContextSites::capacity`]).
     pub fn resident_len(&self) -> usize {
-        self.inner.lock().unwrap().resident.len()
+        self.inner.lock().unwrap().pool.len()
     }
 
     /// Number of evicted keys whose tuners are parked for re-admission.
@@ -419,33 +611,62 @@ impl<K: ContextKey> ContextSites<K> {
     /// context ids — iteration order is unspecified.
     pub fn keys(&self) -> Vec<(K, u32)> {
         let inner = self.inner.lock().unwrap();
-        let mut out: Vec<(K, u32)> = inner
-            .resident
-            .keys()
-            .map(|k| (k.clone(), inner.pool[inner.resident[k]].context))
-            .collect();
-        out.extend(inner.parked.iter().map(|(k, p)| (k.clone(), p.context)));
-        out
+        let resident = inner.pool.iter().map(|s| {
+            // SAFETY: under the table lock.
+            let key = unsafe { s.binding.key() };
+            (key.clone(), s.binding.context())
+        });
+        let parked = inner.parked.iter().map(|(k, p)| (k.clone(), p.context));
+        resident.chain(parked).collect()
     }
 
     /// Look up or admit `key`; returns its site, context id and the
-    /// caller's [`InFlight`] share of the binding.
+    /// caller's [`InFlight`] pin on the binding.
     fn bind(&self, key: &K) -> (Site, u32, InFlight) {
-        let mut inner = self.inner.lock().unwrap();
-        let inner = &mut *inner;
-        inner.tick += 1;
-        let tick = inner.tick;
-
-        if let Some(&i) = inner.resident.get(key) {
-            let slot = &mut inner.pool[i];
-            slot.last_used = tick;
-            return (slot.site, slot.context, InFlight::enter(&slot.in_flight));
+        let hash = hash_key(key);
+        if let Some(hit) = self.lookup(key, hash) {
+            return hit;
         }
+        let mut inner = self.inner.lock().unwrap();
+        // Under the lock the index is exact and every generation even,
+        // so a second miss means the key is not resident.
+        match self.lookup(key, hash) {
+            Some(hit) => hit,
+            None => self.admit(&mut inner, key, hash),
+        }
+    }
 
-        // Admission. Build the incoming binding first: a parked tuner is
-        // reinstated verbatim; a first-time key is warm-started from its
-        // nearest neighbor's posterior when one exists (and warm-starting
-        // is on); otherwise it starts cold.
+    /// Find `key`'s binding through the index and pin it, without the
+    /// lock. A hit counts only after the pin, an even generation and
+    /// equal keys, in that order (see the `Sync` impl on `Binding`);
+    /// `None` when the key is not resident or an admission is moving
+    /// its binding.
+    fn lookup(&self, key: &K, hash: u64) -> Option<(Site, u32, InFlight)> {
+        // SAFETY: `index` points into an `Arc` that `Inner::indexes` keeps
+        // for as long as the table lives.
+        let index = unsafe { &*self.index.load(Ordering::Acquire) };
+        index
+            .probe(hash)
+            .filter(|b| b.hash.load(Ordering::Relaxed) == hash)
+            .find_map(|b| {
+                let pin = InFlight::enter(&b.in_flight);
+                // SAFETY: the key is read only after the pin and an even
+                // generation.
+                let hit = b.generation.load(Ordering::SeqCst) & 1 == 0 && unsafe { b.key() } == key;
+                hit.then(|| {
+                    b.last_used.store(self.clock.tick(), Ordering::Relaxed);
+                    (b.site, b.context(), pin)
+                })
+            })
+    }
+
+    /// Admit `key`, not resident, under the lock.
+    fn admit(&self, inner: &mut Inner<K>, key: &K, hash: u64) -> (Site, u32, InFlight) {
+        let now = self.clock.tick();
+        // Build the incoming binding first: a parked tuner is reinstated
+        // verbatim; a first-time key is warm-started from its nearest
+        // neighbor's posterior when one exists (and warm-starting is on);
+        // otherwise it starts cold.
         let spec = (self.spec_for)(key);
         let (incoming, context, carried) = match inner.parked.remove(key) {
             Some(p) => {
@@ -469,17 +690,16 @@ impl<K: ContextKey> ContextSites<K> {
         };
         inner.stats.admissions += 1;
 
-        // A binding may only be recycled while no call is in flight
-        // through it, and the idleness check is race-free: counts are
-        // incremented only under this lock, so an idle binding stays
-        // idle until we release it. When every binding is busy the pool
-        // *grows* instead of waiting — blocking here (with the table
-        // lock held) would deadlock a thread that dispatches while
-        // holding a ContextGuard on one of the busy bindings.
+        // A binding may only be recycled while no call is pinned to it;
+        // the handshake in `Binding::try_retire` makes that check
+        // race-free against lock-free lookups. When every binding is
+        // busy the pool *grows* instead of waiting — blocking here (with
+        // the table lock held) would deadlock a thread that dispatches
+        // while holding a ContextGuard on one of the busy bindings.
         let victim = if inner.pool.len() < self.capacity {
             None
         } else {
-            Self::pick_idle_victim(&inner.pool)
+            Self::retire_idle_lru(&inner.pool)
         };
         let i = match victim {
             None => {
@@ -495,61 +715,97 @@ impl<K: ContextKey> ContextSites<K> {
                     // reinstated tuner (no guard can be in flight yet).
                     site.rebind(spec, Some(t));
                 }
-                inner.pool.push(PoolSlot {
+                let binding = Box::leak(Box::new(Binding {
                     site,
-                    key: key.clone(),
-                    context,
-                    last_used: tick,
-                    in_flight: Arc::new(AtomicUsize::new(0)),
+                    generation: AtomicU64::new(0),
+                    in_flight: AtomicUsize::new(0),
+                    last_used: AtomicU64::new(now),
+                    context: AtomicU32::new(context),
+                    hash: AtomicU64::new(hash),
+                    key: UnsafeCell::new(key.clone()),
+                }));
+                inner.pool.push(PoolSlot {
+                    binding,
                     calls_base: site.calls(),
                     tuned_base: site.tuned_iterations(),
                     carried,
                 });
-                inner.resident.insert(key.clone(), inner.pool.len() - 1);
                 inner.pool.len() - 1
             }
             Some(victim) => {
-                // Recycle the least recently used idle binding in place.
+                // Recycle the retired binding in place (step 3 of the
+                // handshake), then make its generation even again.
                 let name = format!("{}/slot{:02}", self.prefix, victim);
                 let spec = spec.with_name(name);
+                let new_key = key.clone();
                 let slot = &mut inner.pool[victim];
+                let b = slot.binding;
                 let evicted_stats = slot.stats_now();
-                let outgoing = slot.site.rebind(spec, incoming);
+                let outgoing = b.site.rebind(spec, incoming);
+                // SAFETY: `retire_idle_lru` won the handshake for `b`, and
+                // its generation stays odd until the store below.
+                let old_key = std::mem::replace(unsafe { &mut *b.key.get() }, new_key);
+                let old_context = b.context.swap(context, Ordering::Relaxed);
+                b.hash.store(hash, Ordering::Relaxed);
+                b.last_used.store(now, Ordering::Relaxed);
+                slot.calls_base = b.site.calls();
+                slot.tuned_base = b.site.tuned_iterations();
+                slot.carried = carried;
+                b.generation.fetch_add(1, Ordering::Release);
                 inner.stats.evictions += 1;
-                let old_key = std::mem::replace(&mut slot.key, key.clone());
-                inner.resident.remove(&old_key);
                 inner.parked.insert(
                     old_key,
                     Parked {
                         tuner: outgoing,
-                        context: slot.context,
+                        context: old_context,
                         stats: evicted_stats,
                     },
                 );
-                slot.context = context;
-                slot.last_used = tick;
-                slot.calls_base = slot.site.calls();
-                slot.tuned_base = slot.site.tuned_iterations();
-                slot.carried = carried;
-                inner.resident.insert(key.clone(), victim);
                 victim
             }
         };
+        self.reindex(inner);
 
         let slot = &mut inner.pool[i];
         slot.carried.admissions += 1;
-        (slot.site, slot.context, InFlight::enter(&slot.in_flight))
+        let b = slot.binding;
+        (b.site, context, InFlight::enter(&b.in_flight))
     }
 
-    /// Least-recently-used binding with no calls in flight, or `None`
-    /// when every binding is busy. The `Acquire` load pairs with the
-    /// [`InFlight`] `Release` decrement, so everything a resolved call
-    /// did to the victim site happens-before the eviction's stats
-    /// snapshot and rebind.
-    fn pick_idle_victim(pool: &[PoolSlot<K>]) -> Option<usize> {
-        (0..pool.len())
-            .filter(|&i| pool[i].in_flight.load(Ordering::Acquire) == 0)
-            .min_by_key(|&i| (pool[i].last_used, i))
+    /// The least recently used binding with no call in flight, retired
+    /// for rebinding by [`Binding::try_retire`] (its generation left
+    /// odd), or `None` when every binding is busy. The handshake's
+    /// `SeqCst` load of 0 acquires every resolved call's `Release` unpin,
+    /// so everything those calls did to the victim site happens-before
+    /// the eviction's stats snapshot and rebind.
+    fn retire_idle_lru(pool: &[PoolSlot<K>]) -> Option<usize> {
+        // Snapshot the stamps: lock-free hits keep writing them.
+        let mut lru: Vec<(u64, usize)> = pool
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.binding.last_used.load(Ordering::Relaxed), i))
+            .collect();
+        lru.sort_unstable();
+        lru.into_iter()
+            .map(|(_, i)| i)
+            .find(|&i| pool[i].binding.try_retire())
+    }
+
+    /// Point the index at the pool's bindings, under the lock. When the
+    /// pool has outgrown it (overflow slots), publish a larger index and
+    /// keep the old one for readers that may still probe it.
+    fn reindex(&self, inner: &mut Inner<K>) {
+        let bindings = inner.pool.iter().map(|s| s.binding);
+        let current = inner.indexes.last().expect("registered with an index");
+        if current.fits(inner.pool.len()) {
+            current.rebuild(bindings);
+        } else {
+            let grown = Arc::new(Index::for_pool(inner.pool.len()));
+            grown.rebuild(bindings);
+            self.index
+                .store(Arc::as_ptr(&grown).cast_mut(), Ordering::Release);
+            inner.indexes.push(grown);
+        }
     }
 
     /// The nearest admitted key's incumbents, or `None` when no admitted
@@ -561,26 +817,27 @@ impl<K: ContextKey> ContextSites<K> {
     /// next-nearest. A resident neighbor's site claim is only *tried*
     /// ([`Site::try_with_tuner`]), never spun on: this runs under the
     /// table lock, and the claim is held across the neighbor's entire
-    /// measured call — waiting here would stall every dispatch on the
+    /// measured call — waiting here would stall every admission on the
     /// table and deadlocks outright if the claim holder re-enters it.
     fn neighbor_incumbents(inner: &Inner<K>, key: &K) -> Option<Vec<Option<(Configuration, f64)>>> {
-        let resident = inner
-            .resident
-            .iter()
-            .map(|(k, &i)| (k, 0u8, inner.pool[i].context));
-        let parked = inner.parked.iter().map(|(k, p)| (k, 1u8, p.context));
-        let mut ranked: Vec<(K, (u64, u8, u32))> = resident
+        let resident = inner.pool.iter().map(|s| {
+            let b = s.binding;
+            // SAFETY: under the table lock.
+            (unsafe { b.key() }, 0u8, b.context(), Some(b.site))
+        });
+        let parked = inner.parked.iter().map(|(k, p)| (k, 1u8, p.context, None));
+        let mut ranked: Vec<_> = resident
             .chain(parked)
-            .map(|(k, tier, ctx)| (k.clone(), (key.distance(k), tier, ctx)))
+            .map(|(k, tier, ctx, site)| ((key.distance(k), tier, ctx), k, site))
             .collect();
-        ranked.sort_by_key(|(_, rank)| *rank);
-        for (neighbor, _) in ranked {
-            let incumbents = match inner.resident.get(&neighbor) {
-                Some(&i) => match inner.pool[i].site.try_with_tuner(|t| t.incumbents()) {
+        ranked.sort_by_key(|&(rank, ..)| rank);
+        for (_, neighbor, site) in ranked {
+            let incumbents = match site {
+                Some(site) => match site.try_with_tuner(|t| t.incumbents()) {
                     Some(inc) => inc,
                     None => continue, // claim busy right now: don't wait
                 },
-                None => inner.parked[&neighbor].tuner.incumbents(),
+                None => inner.parked[neighbor].tuner.incumbents(),
             };
             if incumbents.iter().any(Option::is_some) {
                 return Some(incumbents);
@@ -596,7 +853,7 @@ impl<K: ContextKey> std::fmt::Debug for ContextSites<K> {
         f.debug_struct("ContextSites")
             .field("prefix", &self.prefix)
             .field("capacity", &self.capacity)
-            .field("resident", &inner.resident.len())
+            .field("resident", &inner.pool.len())
             .field("parked", &inner.parked.len())
             .field("stats", &inner.stats)
             .finish()
@@ -818,6 +1075,35 @@ mod tests {
         let st = t.stats();
         assert_eq!(st.evictions, 1);
         assert_eq!(st.overflows, 0);
+    }
+
+    #[test]
+    fn overflow_regrows_the_index_and_resident_keys_still_skip_the_lock() {
+        let t = table("test/ctx/regrow", 1);
+        // Guards on five keys at once: four overflow slots, more than the
+        // index registered for one slot has room for.
+        let guards: Vec<_> = (0..5).map(|k| t.dispatch(&Key(k))).collect();
+        assert_eq!(t.stats().overflows, 4);
+        drop(guards);
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let inner = t.inner.lock().unwrap();
+            assert!(inner.indexes.len() > 1, "the index never grew");
+            let t = &t;
+            scope.spawn(move || {
+                for k in 0..5 {
+                    drive(t, Key(k), 1);
+                }
+                tx.send(()).unwrap();
+            });
+            let done = rx.recv_timeout(std::time::Duration::from_secs(5)).is_ok();
+            drop(inner);
+            assert!(done, "a resident dispatch waited for the table lock");
+        });
+        for k in 0..5 {
+            assert_eq!(t.key_stats(&Key(k)).unwrap().calls, 1);
+        }
     }
 
     #[test]

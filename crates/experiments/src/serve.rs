@@ -390,8 +390,9 @@ const RECONV_WINDOW: usize = 15;
 const RECONV_TOLERANCE: f64 = 0.05;
 
 /// Iterations from `start` until the rolling median of `runtimes[start..]`
-/// first lands within [`RECONV_TOLERANCE`] of the converged (final)
-/// median, or `None` if it never does.
+/// first lands within [`RECONV_TOLERANCE`] of the converged median at
+/// the end of `runtimes`, or `None` if it never does. `runtimes` must end
+/// with the episode: a later regime would set the reference.
 fn reconvergence_iterations(runtimes: &[f64], start: usize) -> Option<(usize, f64)> {
     let tail = &runtimes[start..];
     if tail.len() < 2 * RECONV_WINDOW {
@@ -411,7 +412,8 @@ fn reconvergence_iterations(runtimes: &[f64], start: usize) -> Option<(usize, f6
 /// The drift episode of one site as JSON: per restart, where the morph
 /// and the restart happened, the runtime regime before and after, and the
 /// time-to-reconvergence (iterations until a [`RECONV_WINDOW`]-wide
-/// rolling median is within 5% of the new optimum).
+/// rolling median is within 5% of the new optimum). An episode runs from
+/// its restart to the next morph or restart.
 fn drift_json(log: &SiteLog) -> Json {
     let episodes = log
         .restarts
@@ -432,7 +434,15 @@ fn drift_json(log: &SiteLog) -> Json {
                 let lo = m.saturating_sub(64);
                 stats::median(&log.runtimes[lo..m])
             });
-            let (reconv, settled) = match reconvergence_iterations(&log.runtimes, r + 1) {
+            let end = log
+                .morphs
+                .iter()
+                .chain(&log.restarts)
+                .copied()
+                .filter(|&e| e > r)
+                .min()
+                .unwrap_or(log.runtimes.len());
+            let (reconv, settled) = match reconvergence_iterations(&log.runtimes[..end], r + 1) {
                 Some((i, s)) => (Json::Num(i as f64), Json::Num(s)),
                 None => (Json::Null, Json::Null),
             };
@@ -772,6 +782,32 @@ mod tests {
         assert_eq!(settled, 1.0);
         // The rolling median crosses once the window is majority-fast.
         assert!((30..60).contains(&iters), "{iters}");
+    }
+
+    #[test]
+    fn reconvergence_is_measured_against_the_episode_not_the_run() {
+        // Two regimes: a restart at 100 settles at 2 ms until a morph at
+        // 300; the next regime settles at 6 ms after its restart at 310.
+        let mut log = SiteLog::default();
+        for i in 0..600 {
+            log.push(match i {
+                0..=100 => 5.0,
+                101..=299 => 2.0,
+                300..=310 => 9.0,
+                _ => 6.0,
+            });
+        }
+        log.morphs = vec![90, 300];
+        log.restarts = vec![100, 310];
+        let doc = drift_json(&log);
+        let episodes = doc.get("episodes").and_then(Json::as_arr).unwrap();
+        let field = |e: &Json, name: &str| e.get(name).and_then(Json::as_f64);
+        assert_eq!(field(&episodes[0], "new_optimum_ms"), Some(2.0));
+        assert_eq!(
+            field(&episodes[0], "reconverged_after_iters"),
+            Some(RECONV_WINDOW as f64)
+        );
+        assert_eq!(field(&episodes[1], "new_optimum_ms"), Some(6.0));
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! 3. **Warm-start seeding** — a newly admitted key's first phase-1
 //!    proposal is its neighbor's incumbent configuration, not the cold
 //!    start point.
+//! 4. **Resident dispatch takes no lock** — every resident key dispatches
+//!    and posts while an admission holds the table lock.
+//! 5. **A dispatch racing an eviction runs its own key's tuner** — with
+//!    disjoint per-key parameter ranges, no call ever sees another key's
+//!    configuration or context id, and per-key accounting stays exact.
 
 use autotune::context::{ContextKey, ContextSites};
 use autotune::param::Parameter;
@@ -22,6 +27,9 @@ use autotune::site::SiteSpec;
 use autotune::space::SearchSpace;
 use autotune::two_phase::{AlgorithmSpec, NominalKind};
 use std::collections::HashMap;
+use std::sync::mpsc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct Key(i64);
@@ -274,4 +282,148 @@ fn warm_started_key_first_proposal_is_the_neighbor_incumbent() {
     );
     assert_eq!(warm.stats().warm_starts, 1);
     assert_eq!(cold.stats().warm_starts, 0);
+}
+
+/// How long one resident dispatch may take before the test calls it
+/// blocked: orders of magnitude above its cost, short enough that a
+/// blocked dispatch fails the test instead of hanging it.
+const BLOCKED: Duration = Duration::from_secs(5);
+
+#[test]
+fn resident_dispatch_never_waits_for_an_admission() {
+    // As many keys as `smallsort::SortKey` has, plus a sentinel whose
+    // admission blocks inside `spec_for` — under the table lock.
+    const KEYS: i64 = 36;
+    const SENTINEL: Key = Key(1_000);
+    let spec = spec_for("ctxrt/nolock");
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let table = ContextSites::register("ctxrt/nolock", KEYS as usize + 1, {
+        let gate = Arc::clone(&gate);
+        move |k: &Key| {
+            if *k == SENTINEL {
+                entered_tx.send(()).unwrap();
+                let (open, cv) = &*gate;
+                drop(cv.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
+            }
+            spec(k)
+        }
+    });
+    for k in 0..KEYS {
+        call(&table, Key(k));
+    }
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let (entered, blocked) = std::thread::scope(|scope| {
+        let table = &table;
+        scope.spawn(move || call(table, SENTINEL));
+        let entered = entered_rx.recv_timeout(BLOCKED).is_ok();
+        scope.spawn(move || {
+            for k in 0..KEYS {
+                call(table, Key(k));
+                done_tx.send(k).unwrap();
+            }
+        });
+        let blocked = (0..KEYS).find(|_| done_rx.recv_timeout(BLOCKED).is_err());
+        // Release the admission whatever happened, so both threads finish.
+        let (open, cv) = &*gate;
+        *open.lock().unwrap() = true;
+        cv.notify_all();
+        (entered, blocked)
+    });
+    assert!(entered, "the sentinel's admission never reached spec_for");
+    assert_eq!(
+        blocked, None,
+        "a resident dispatch waited {BLOCKED:?} for an admission holding the table lock"
+    );
+    for k in 0..KEYS {
+        assert_eq!(table.key_stats(&Key(k)).unwrap().calls, 2);
+    }
+    assert_eq!(table.key_stats(&SENTINEL).unwrap().calls, 1);
+    assert_eq!(table.stats().evictions, 0);
+}
+
+/// How long the racing threads may take together: far above the ~10 ms
+/// they need.
+const RACE_DEADLINE: Duration = Duration::from_secs(60);
+
+#[test]
+fn a_dispatch_racing_an_eviction_runs_its_own_keys_tuner() {
+    const THREADS: usize = 6;
+    const ITERS: usize = 400;
+    const KEYS: i64 = 16;
+    // Disjoint parameter ranges: a call that ran on another key's tuner,
+    // or on a site half rebound, would show a foreign configuration.
+    let range = |k: Key| (100 * k.0 + 1, 100 * k.0 + 64);
+    let table = Arc::new(ContextSites::register("ctxrt/race", 2, move |k: &Key| {
+        let (lo, hi) = range(*k);
+        SiteSpec::space(
+            format!("ctxrt/race/{}", k.label()),
+            SearchSpace::new(vec![Parameter::interval("x", lo, hi)]),
+            0x7ACE ^ k.0 as u64,
+        )
+    }));
+    let schedule = |t: usize, i: usize| Key(((i * 5 + t * 7) % KEYS as usize) as i64);
+
+    // Unscoped threads and a deadline: a broken handshake can as well
+    // deadlock a dispatch against an eviction as corrupt one, and the
+    // test must then fail rather than hang.
+    let (done_tx, done_rx) = mpsc::channel();
+    let workers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (table, done_tx) = (Arc::clone(&table), done_tx.clone());
+            std::thread::spawn(move || {
+                for i in 0..ITERS {
+                    let key = schedule(t, i);
+                    let guard = table.dispatch(&key);
+                    let x = guard.config().get(0).as_i64();
+                    let (lo, hi) = range(key);
+                    assert!(
+                        (lo..=hi).contains(&x),
+                        "{key:?} ran x = {x}, outside its range [{lo}, {hi}]"
+                    );
+                    assert_eq!(
+                        Some(guard.context()),
+                        table.context_id(&key),
+                        "{key:?} ran under another key's context id"
+                    );
+                    guard.post_outcome(MeasureOutcome::from_value(1.0 + (x % 7) as f64));
+                }
+                done_tx.send(()).unwrap();
+            })
+        })
+        .collect();
+    drop(done_tx);
+    let finished = (0..THREADS).all(|_| done_rx.recv_timeout(RACE_DEADLINE).is_ok());
+    assert!(finished, "a racing thread panicked (see above) or hung");
+    for worker in workers {
+        worker.join().unwrap();
+    }
+
+    let mut per_key: HashMap<Key, u64> = HashMap::new();
+    for t in 0..THREADS {
+        for i in 0..ITERS {
+            *per_key.entry(schedule(t, i)).or_insert(0) += 1;
+        }
+    }
+    let mut total = 0;
+    for k in 0..KEYS {
+        let key = Key(k);
+        let stats = table.key_stats(&key).expect("every key was dispatched");
+        assert_eq!(stats.calls, per_key[&key], "{key:?} miscounted");
+        assert!(stats.tuned_iterations <= stats.calls);
+        total += stats.calls;
+    }
+    assert_eq!(
+        total,
+        (THREADS * ITERS) as u64,
+        "no call lost or duplicated"
+    );
+    let st = table.stats();
+    assert!(st.evictions > 0, "16 keys through 2 slots must evict");
+    assert_eq!(
+        st.evictions,
+        st.admissions - table.resident_len() as u64,
+        "admissions split exactly into pool growth and evictions"
+    );
 }
