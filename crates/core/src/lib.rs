@@ -17,13 +17,13 @@
 //!   tuning. Strategies that require order/distance reject nominal spaces at
 //!   construction, mechanizing the paper's Section II-B analysis.
 //! * **Four nominal phase-2 strategies** ([`nominal`]): ε-Greedy, Gradient
-//!   Weighted, Optimum Weighted, and Sliding-Window AUC (plus the rejected
-//!   softmax baseline).
+//!   Weighted, Optimum Weighted, and Sliding-Window AUC.
 //! * **The two-phase online tuner** ([`two_phase`]): per-iteration algorithm
 //!   selection (phase 2) combined with per-algorithm parameter tuning
-//!   (phase 1, Nelder-Mead by default).
-//! * **Online tuning-loop drivers** ([`tuner`]) and measurement plumbing
-//!   ([`measure`]).
+//!   (phase 1, Nelder-Mead by default). It is the one tuning-loop driver:
+//!   a single parameter space is tuned as one algorithm, whose phase 2 is
+//!   never consulted.
+//! * **Measurement plumbing** ([`measure`]).
 //! * **A fault-tolerant measurement pipeline** ([`robust`]): panics,
 //!   timeouts, and degenerate (NaN/infinite/zero) measurements become
 //!   [`robust::MeasureOutcome`] values that the tuners absorb as penalties
@@ -79,7 +79,6 @@ pub mod site;
 pub mod space;
 pub mod stats;
 pub mod telemetry;
-pub mod tuner;
 pub mod two_phase;
 
 /// Commonly used items, re-exported for convenience.
@@ -90,7 +89,7 @@ pub mod prelude {
     pub use crate::mixed::MixedTuner;
     pub use crate::nominal::{
         EpsilonGradient, EpsilonGreedy, GradientWeighted, NominalStrategy, OptimumWeighted,
-        SlidingWindowAuc, Softmax,
+        SlidingWindowAuc,
     };
     pub use crate::param::{Domain, ParamClass, Parameter, Value};
     pub use crate::pool::Pool;
@@ -109,7 +108,6 @@ pub mod prelude {
     pub use crate::telemetry::{
         self, Event, EventKind, MeasureStatus, MetricsReport, SimplexOp, SpanKind, WeightSet,
     };
-    pub use crate::tuner::{OnlineTuner, Termination};
     pub use crate::two_phase::{
         AlgorithmSpec, NominalKind, Phase1Kind, TwoPhaseSample, TwoPhaseTuner,
     };

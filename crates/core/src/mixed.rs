@@ -19,6 +19,10 @@
 //! rejects lattices above [`MAX_ARMS`] — at that size a per-arm searcher
 //! would never receive enough samples to make progress, and the honest
 //! answer is to restructure the space, not to hide the explosion.
+//!
+//! Construction also rejects a space that carries constraints: the arms'
+//! ordered spaces are rebuilt from the parameters alone, so a constraint
+//! over the full configuration would silently go unchecked.
 
 use crate::param::{ParamClass, Value};
 use crate::space::{Configuration, SearchSpace};
@@ -60,7 +64,7 @@ pub struct MixedTuner {
 
 impl MixedTuner {
     /// Factor `space` and build the tuner. Panics if the nominal lattice
-    /// exceeds [`MAX_ARMS`].
+    /// exceeds [`MAX_ARMS`] or `space` carries constraints.
     pub fn new(space: SearchSpace, strategy: NominalKind, seed: u64) -> Self {
         Self::with_phase1(space, strategy, Phase1Kind::NelderMead, seed)
     }
@@ -72,6 +76,17 @@ impl MixedTuner {
         phase1: Phase1Kind,
         seed: u64,
     ) -> Self {
+        assert!(
+            !space.is_constrained(),
+            "MixedTuner cannot enforce the space's constraints ({}): its arms \
+             tune unconstrained ordered spaces",
+            space
+                .constraints()
+                .iter()
+                .map(|k| k.name())
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
         let nominal_dims: Vec<usize> = space
             .params()
             .iter()
@@ -332,6 +347,15 @@ mod tests {
                 .collect(),
         );
         // 6^4 = 1296 > MAX_ARMS.
+        MixedTuner::new(space, NominalKind::EpsilonGreedy(0.1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "constraints (block-even)")]
+    fn rejects_constrained_spaces() {
+        let even = |c: &Configuration| c.get(1).as_i64() % 2 == 0;
+        let space =
+            mixed_space().with_constraint(crate::space::Constraint::new("block-even", even));
         MixedTuner::new(space, NominalKind::EpsilonGreedy(0.1), 0);
     }
 }

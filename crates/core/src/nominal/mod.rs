@@ -16,24 +16,18 @@
 //!   runtime.
 //! * [`SlidingWindowAuc`] — weight by the average inverse runtime over a
 //!   sliding window (window 16), after OpenTuner's AUC bandit.
-//!
-//! [`Softmax`] (Gibbs selection) is additionally provided as the alternative
-//! the paper discusses and rejects in Section III-A, so the comparison can
-//! be reproduced.
 
 mod combined;
 mod epsilon_greedy;
 mod gradient_weighted;
 mod optimum_weighted;
 mod sliding_auc;
-mod softmax;
 
 pub use combined::EpsilonGradient;
 pub use epsilon_greedy::EpsilonGreedy;
 pub use gradient_weighted::{GradientWeighted, DEFAULT_WINDOW as GRADIENT_DEFAULT_WINDOW};
 pub use optimum_weighted::OptimumWeighted;
 pub use sliding_auc::{SlidingWindowAuc, DEFAULT_WINDOW as AUC_DEFAULT_WINDOW};
-pub use softmax::Softmax;
 
 use crate::history::AlgorithmHistory;
 use crate::rng::Rng;

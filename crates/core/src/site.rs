@@ -1,13 +1,14 @@
 //! The concurrent multi-site tuning runtime: a process-global, sharded
 //! registry of long-lived tuning sites.
 //!
-//! The paper's tuners ([`crate::tuner::OnlineTuner`],
-//! [`crate::two_phase::TwoPhaseTuner`]) each own one call site on one
-//! thread. Production workloads look different: *thousands* of independent
-//! tuned call sites (one per hot function, per input-size bucket, per
-//! endpoint) hit concurrently by many request threads. This module makes
-//! that a first-class, near-zero-overhead capability, mirroring the shape
-//! of Tuna's `tuna_site`/`tuna_pre`/`tuna_post` API around
+//! The paper's tuner ([`crate::two_phase::TwoPhaseTuner`]) owns one call
+//! site on one thread. Production workloads look different: *thousands*
+//! of independent tuned call sites (one per hot function, per input-size
+//! bucket, per endpoint) hit concurrently by many request threads. This
+//! module makes that a first-class, near-zero-overhead capability. Every
+//! site embeds a `TwoPhaseTuner`, a one-algorithm one when it has no
+//! algorithmic choice ([`SiteSpec::space`]). The API mirrors the shape of
+//! Tuna's `tuna_site`/`tuna_pre`/`tuna_post` around
 //! semantically-interchangeable chunks of code:
 //!
 //! ```
@@ -122,11 +123,9 @@
 use crate::measure::duration_ms;
 use crate::param::Value;
 use crate::robust::MeasureOutcome;
-use crate::search::Searcher;
 use crate::space::{Configuration, Constraint, SearchSpace};
 use crate::telemetry::{self, EventKind, MeasureStatus};
-use crate::tuner::{OnlineTuner, Plateau, Termination};
-use crate::two_phase::{AlgorithmSpec, NominalKind, Phase1Kind, TwoPhaseTuner};
+use crate::two_phase::{AlgorithmSpec, NominalKind, TwoPhaseTuner};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -163,33 +162,21 @@ impl SiteId {
     }
 }
 
-/// What a site tunes: algorithmic choice (two-phase) or a single numeric
-/// parameter space.
-#[derive(Clone)]
-enum SpecKind {
-    /// Phase-2 selection over algorithms, each with its own phase-1 space.
-    Algorithms(Vec<AlgorithmSpec>, NominalKind),
-    /// A single parameter space with no algorithmic choice, plus an
-    /// optional starting configuration (set by warm-starting).
-    Space(SearchSpace, Option<Configuration>),
-}
-
-/// Blueprint of a tuning site: what it tunes and with which strategies and
+/// Blueprint of a tuning site: what it tunes and with which strategy and
 /// seed. Consumed by [`register`]; the slot keeps a clone as the recipe
 /// for [`Site::restart`].
 #[derive(Clone)]
 pub struct SiteSpec {
     name: String,
-    kind: SpecKind,
-    phase1: Phase1Kind,
+    specs: Vec<AlgorithmSpec>,
+    nominal: NominalKind,
     seed: u64,
 }
 
 impl SiteSpec {
     /// A site with algorithmic choice: a phase-2 `nominal` strategy over
-    /// `specs`, each algorithm with its own phase-1 searcher (Nelder-Mead
-    /// unless overridden via [`SiteSpec::with_phase1`]). Equivalent to a
-    /// dedicated [`TwoPhaseTuner`] with the same arguments.
+    /// `specs`, each algorithm with its own Nelder-Mead phase-1 searcher.
+    /// Equivalent to a dedicated [`TwoPhaseTuner`] with the same arguments.
     pub fn algorithms(
         name: impl Into<String>,
         specs: Vec<AlgorithmSpec>,
@@ -198,22 +185,21 @@ impl SiteSpec {
     ) -> Self {
         SiteSpec {
             name: name.into(),
-            kind: SpecKind::Algorithms(specs, nominal),
-            phase1: Phase1Kind::NelderMead,
+            specs,
+            nominal,
             seed,
         }
     }
 
-    /// A site tuning a single parameter space with no algorithmic choice.
-    /// Equivalent to a dedicated [`OnlineTuner`] with [`Termination::Never`]:
-    /// a plateaued site backs off its tuning rate instead of stopping.
+    /// A site tuning a single parameter space with no algorithmic choice:
+    /// a one-algorithm [`TwoPhaseTuner`] (the algorithm takes the site's
+    /// name). Its phase 2 is never consulted, so its samples are those of
+    /// the space's Nelder-Mead searcher alone; a plateaued site backs off
+    /// its tuning rate instead of stopping.
     pub fn space(name: impl Into<String>, space: SearchSpace, seed: u64) -> Self {
-        SiteSpec {
-            name: name.into(),
-            kind: SpecKind::Space(space, None),
-            phase1: Phase1Kind::NelderMead,
-            seed,
-        }
+        let name = name.into();
+        let spec = AlgorithmSpec::new(name.clone(), space);
+        SiteSpec::algorithms(name, vec![spec], NominalKind::OptimumWeighted, seed)
     }
 
     /// The site's display name.
@@ -234,59 +220,33 @@ impl SiteSpec {
     /// phase-1 half of cross-context warm-starting
     /// ([`crate::context::ContextSites`]).
     ///
-    /// `incumbents` is index-aligned with the algorithm order
-    /// (single-space sites read index 0). An incumbent is adopted only
-    /// where it lies inside — and is feasible in — the matching
-    /// algorithm's space; missing or infeasible entries leave that
-    /// algorithm's start untouched, so a neighbor's posterior can never
-    /// smuggle an invalid configuration past the constraints.
+    /// `incumbents` is index-aligned with the algorithm order. An
+    /// incumbent is adopted only where it lies inside — and is feasible
+    /// in — the matching algorithm's space; missing or infeasible entries
+    /// leave that algorithm's start untouched, so a neighbor's posterior
+    /// can never smuggle an invalid configuration past the constraints.
     pub fn with_incumbent_starts(
         mut self,
         incumbents: &[Option<(Configuration, f64)>],
     ) -> SiteSpec {
-        match &mut self.kind {
-            SpecKind::Algorithms(specs, _) => {
-                for (s, inc) in specs.iter_mut().zip(incumbents) {
-                    if let Some((c, _)) = inc {
-                        if s.space.contains(c) && s.space.is_feasible(c) {
-                            s.start = Some(c.clone());
-                        }
-                    }
-                }
-            }
-            SpecKind::Space(space, start) => {
-                if let Some(Some((c, _))) = incumbents.first() {
-                    if space.contains(c) && space.is_feasible(c) {
-                        *start = Some(c.clone());
-                    }
+        for (s, inc) in self.specs.iter_mut().zip(incumbents) {
+            if let Some((c, _)) = inc {
+                if s.space.contains(c) && s.space.is_feasible(c) {
+                    s.start = Some(c.clone());
                 }
             }
         }
         self
     }
 
-    /// Override the phase-1 searcher kind.
-    pub fn with_phase1(mut self, phase1: Phase1Kind) -> Self {
-        self.phase1 = phase1;
-        self
-    }
-
-    /// Attach a feasibility [`Constraint`] to the site's search space.
-    /// Single-space sites attach it to their space; algorithmic-choice
-    /// sites attach it to *every* algorithm's space (declare constraints on
-    /// the individual [`AlgorithmSpec`] spaces for per-algorithm rules).
-    /// Proposals the constraint rejects and cannot repair are penalized by
-    /// the site's tuner without ever reaching the interchangeable code.
+    /// Attach a feasibility [`Constraint`] to *every* algorithm's space
+    /// (declare constraints on the individual [`AlgorithmSpec`] spaces for
+    /// per-algorithm rules). Proposals the constraint rejects and cannot
+    /// repair are penalized by the site's tuner without ever reaching the
+    /// interchangeable code.
     pub fn with_constraint(mut self, constraint: Constraint) -> Self {
-        match &mut self.kind {
-            SpecKind::Algorithms(specs, _) => {
-                for s in specs.iter_mut() {
-                    s.space = s.space.clone().with_constraint(constraint.clone());
-                }
-            }
-            SpecKind::Space(space, _) => {
-                *space = space.clone().with_constraint(constraint.clone());
-            }
+        for s in self.specs.iter_mut() {
+            s.space = s.space.clone().with_constraint(constraint.clone());
         }
         self
     }
@@ -307,14 +267,18 @@ const MAX_GAP_LOG2: usize = 6;
 /// number of claim-winning calls still to serve from the published
 /// decision before the next tuning call.
 struct TuningRate {
-    plateau: Plateau,
+    /// Best value as of the last meaningful improvement.
+    best: f64,
+    /// Tuned iterations since that improvement.
+    plateau: usize,
     skip: u32,
 }
 
 impl TuningRate {
     fn new() -> Self {
         TuningRate {
-            plateau: Plateau::new(PLATEAU_TOLERANCE),
+            best: f64::INFINITY,
+            plateau: 0,
             skip: 0,
         }
     }
@@ -324,15 +288,22 @@ impl TuningRate {
     /// to 64. The `n`-th consecutive non-improving tuned iteration is
     /// followed by a gap of `2^min(n − 32, 6)` for `n ≥ 32`.
     fn gap(&self) -> u32 {
-        match self.plateau.len().checked_sub(PLATEAU_WINDOW) {
+        match self.plateau.checked_sub(PLATEAU_WINDOW) {
             None => 1,
             Some(extra) => 1 << extra.min(MAX_GAP_LOG2),
         }
     }
 
     /// Feed one tuned iteration's value and schedule the next tuning call.
+    /// An improvement of more than the tolerance resets the plateau;
+    /// anything else (NaN included) extends it.
     fn record(&mut self, value: f64) {
-        self.plateau.observe(value);
+        if value < self.best * (1.0 - PLATEAU_TOLERANCE) {
+            self.best = value;
+            self.plateau = 0;
+        } else {
+            self.plateau += 1;
+        }
         self.skip = self.gap() - 1;
     }
 
@@ -347,22 +318,13 @@ impl TuningRate {
     }
 }
 
-/// The state machine a site drives: the same tuners applications drive
-/// directly.
-enum Engine {
-    /// Algorithmic choice: a full two-phase tuner.
-    TwoPhase(TwoPhaseTuner),
-    /// Single parameter space: an online tuning loop.
-    Single(OnlineTuner<Box<dyn Searcher>>),
-}
-
-/// The tuner embedded in a site — a two-phase tuner or a single-space
-/// online loop, plus the site's tuning-rate controller — made shareable
+/// The tuner embedded in a site — the same [`TwoPhaseTuner`] applications
+/// drive directly, plus the site's tuning-rate controller — made shareable
 /// by the slot's claim discipline. Moving a `SiteTuner` (parking it on
 /// eviction, reinstating it on re-admission) carries the controller with
 /// it; building one starts the site at full rate.
 pub struct SiteTuner {
-    engine: Engine,
+    tuner: TwoPhaseTuner,
     rate: TuningRate,
 }
 
@@ -370,111 +332,50 @@ impl SiteTuner {
     fn build(spec: SiteSpec) -> (SiteTuner, String) {
         let SiteSpec {
             name,
-            kind,
-            phase1,
+            specs,
+            nominal,
             seed,
         } = spec;
-        let engine = match kind {
-            SpecKind::Algorithms(specs, nominal) => {
-                for s in &specs {
-                    assert!(
-                        s.space.dims() <= MAX_PUBLISHED_PARAMS,
-                        "algorithm '{}' has {} parameters; sites publish at most {}",
-                        s.name,
-                        s.space.dims(),
-                        MAX_PUBLISHED_PARAMS
-                    );
-                }
-                Engine::TwoPhase(TwoPhaseTuner::with_phase1(specs, nominal, phase1, seed))
-            }
-            SpecKind::Space(space, start) => {
-                assert!(
-                    space.dims() <= MAX_PUBLISHED_PARAMS,
-                    "space has {} parameters; sites publish at most {}",
-                    space.dims(),
-                    MAX_PUBLISHED_PARAMS
-                );
-                let mut aspec = AlgorithmSpec::new(name.clone(), space);
-                aspec.start = start;
-                let searcher = phase1.build(&aspec, seed);
-                Engine::Single(OnlineTuner::new(searcher, Termination::Never))
-            }
-        };
+        for s in &specs {
+            assert!(
+                s.space.dims() <= MAX_PUBLISHED_PARAMS,
+                "algorithm '{}' has {} parameters; sites publish at most {}",
+                s.name,
+                s.space.dims(),
+                MAX_PUBLISHED_PARAMS
+            );
+        }
         let tuner = SiteTuner {
-            engine,
+            tuner: TwoPhaseTuner::new(specs, nominal, seed),
             rate: TuningRate::new(),
         };
         (tuner, name)
     }
 
-    fn next(&mut self) -> (usize, Configuration) {
-        match &mut self.engine {
-            Engine::TwoPhase(t) => t.next(),
-            Engine::Single(t) => (0, t.ask()),
-        }
-    }
-
-    fn is_feasible(&self, algorithm: usize, config: &Configuration) -> bool {
-        match &self.engine {
-            Engine::TwoPhase(t) => t.space(algorithm).is_feasible(config),
-            Engine::Single(t) => t.searcher().space().is_feasible(config),
-        }
-    }
-
     /// Complete the pending iteration; its recorded value (measurement
     /// or failure penalty) also feeds the tuning-rate controller.
     fn report_outcome(&mut self, outcome: MeasureOutcome) {
-        let value = match &mut self.engine {
-            Engine::TwoPhase(t) => t.report_outcome(outcome).value,
-            Engine::Single(t) => t.tell_outcome(outcome).value,
-        };
+        let value = self.tuner.report_outcome(outcome).value;
         self.rate.record(value);
-    }
-
-    fn abandon(&mut self) {
-        match &mut self.engine {
-            Engine::TwoPhase(t) => {
-                t.abandon();
-            }
-            Engine::Single(t) => {
-                t.abandon();
-            }
-        }
-    }
-
-    fn exploit_choice(&self) -> (usize, Configuration) {
-        match &self.engine {
-            Engine::TwoPhase(t) => t.exploit_choice(),
-            Engine::Single(t) => (
-                0,
-                t.best()
-                    .map(|(c, _)| c.clone())
-                    .unwrap_or_else(|| t.searcher().space().min_corner()),
-            ),
-        }
-    }
-
-    fn algorithm_count(&self) -> usize {
-        match &self.engine {
-            Engine::TwoPhase(t) => t.num_algorithms(),
-            Engine::Single(_) => 1,
-        }
     }
 
     /// Build a *warm-started* tuner from a blueprint and a neighboring
     /// context's posterior: every phase-1 searcher starts from the
     /// neighbor's incumbent configuration for its algorithm (where
-    /// feasible — see [`SiteSpec::with_incumbent_starts`]), and for
-    /// algorithmic-choice sites the phase-2 strategy is pre-seeded with
-    /// one synthetic sample per observed algorithm
+    /// feasible — see [`SiteSpec::with_incumbent_starts`]), and with more
+    /// than one algorithm the phase-2 strategy is pre-seeded with one
+    /// synthetic sample per observed algorithm
     /// ([`TwoPhaseTuner::seed_algorithm`]), so selection weights start
-    /// from the neighbor's ranking instead of uniform ignorance.
+    /// from the neighbor's ranking instead of uniform ignorance. A
+    /// one-algorithm tuner's phase 2 is never consulted, so it is not
+    /// seeded.
     ///
     /// This is the seeding rule behind [`crate::context::ContextSites`]
     /// cross-context warm-starting; DESIGN.md §11 motivates it.
     pub fn build_warm(spec: SiteSpec, incumbents: &[Option<(Configuration, f64)>]) -> SiteTuner {
         let (mut tuner, _name) = SiteTuner::build(spec.with_incumbent_starts(incumbents));
-        if let Engine::TwoPhase(t) = &mut tuner.engine {
+        let t = &mut tuner.tuner;
+        if t.num_algorithms() > 1 {
             for (i, inc) in incumbents.iter().enumerate().take(t.num_algorithms()) {
                 if let Some((_, v)) = inc {
                     t.seed_algorithm(i, *v);
@@ -486,32 +387,18 @@ impl SiteTuner {
 
     /// Snapshot the per-algorithm incumbents — each algorithm's
     /// best-known (configuration, value), `None` where nothing has been
-    /// observed yet. Index-aligned with the algorithm order
-    /// (single-space tuners return one entry). This is the "posterior"
-    /// a neighboring context is warm-started from.
+    /// observed yet. Index-aligned with the algorithm order. This is the
+    /// "posterior" a neighboring context is warm-started from.
     pub fn incumbents(&self) -> Vec<Option<(Configuration, f64)>> {
-        match &self.engine {
-            Engine::TwoPhase(t) => (0..t.num_algorithms())
-                .map(|i| t.searcher_best(i).map(|(c, v)| (c.clone(), v)))
-                .collect(),
-            Engine::Single(t) => vec![t.best().map(|(c, v)| (c.clone(), v))],
-        }
+        (0..self.tuner.num_algorithms())
+            .map(|i| self.tuner.searcher_best(i).map(|(c, v)| (c.clone(), v)))
+            .collect()
     }
 
-    /// The embedded two-phase tuner, if this site has algorithmic choice.
+    /// The embedded two-phase tuner. Always `Some`: single-space sites
+    /// embed a one-algorithm tuner.
     pub fn as_two_phase(&self) -> Option<&TwoPhaseTuner> {
-        match &self.engine {
-            Engine::TwoPhase(t) => Some(t),
-            Engine::Single(_) => None,
-        }
-    }
-
-    /// The embedded single-space tuner, if this site has none.
-    pub fn as_single(&self) -> Option<&OnlineTuner<Box<dyn Searcher>>> {
-        match &self.engine {
-            Engine::TwoPhase(_) => None,
-            Engine::Single(t) => Some(t),
-        }
+        Some(&self.tuner)
     }
 }
 
@@ -621,7 +508,7 @@ impl SiteSlot {
     fn new(id: SiteId, spec: SiteSpec) -> Self {
         let recipe = spec.clone();
         let (tuner, name) = SiteTuner::build(spec);
-        let num_algorithms = tuner.algorithm_count();
+        let num_algorithms = tuner.tuner.num_algorithms();
         let slot = SiteSlot {
             claim: AtomicU32::new(0),
             calls: AtomicU64::new(0),
@@ -642,7 +529,7 @@ impl SiteSlot {
         // the space's minimum corner) so the exploit fast path is valid
         // from the very first contended call. Single-threaded here: the
         // slot is not yet visible to the registry.
-        let (algo, config) = unsafe { &(*slot.state.get()).tuner }.exploit_choice();
+        let (algo, config) = unsafe { &(*slot.state.get()).tuner.tuner }.exploit_choice();
         slot.publish(algo, &config);
         slot
     }
@@ -783,7 +670,7 @@ impl Site {
         let state = unsafe { &mut *slot.state.get() };
         let (tuner, _name) = SiteTuner::build(state.recipe.clone());
         state.tuner = tuner;
-        let (algo, config) = state.tuner.exploit_choice();
+        let (algo, config) = state.tuner.tuner.exploit_choice();
         slot.publish(algo, &config);
         slot.restarts.fetch_add(1, Ordering::Relaxed);
         slot.claim.store(0, Ordering::Release);
@@ -829,8 +716,8 @@ impl Site {
         let outgoing = std::mem::replace(&mut state.tuner, incoming);
         state.recipe = spec;
         slot.num_algorithms
-            .store(state.tuner.algorithm_count() as u32, Ordering::Relaxed);
-        let (algo, config) = state.tuner.exploit_choice();
+            .store(state.tuner.tuner.num_algorithms() as u32, Ordering::Relaxed);
+        let (algo, config) = state.tuner.tuner.exploit_choice();
         slot.publish(algo, &config);
         slot.claim.store(0, Ordering::Release);
         outgoing
@@ -862,19 +749,16 @@ impl Site {
                 (CallPath::BackedOff, slot.read_decision())
             } else {
                 let proposal = telemetry::with_site(slot.id.tag(), || {
-                    let (a, c) = tuner.next();
-                    if tuner.is_feasible(a, &c) {
-                        return Ok((a, c));
-                    }
-                    // The searcher could not repair its proposal into the
-                    // constrained region: take the penalty path inside the
-                    // claim instead of letting the caller run (and time) an
-                    // invalid configuration, and re-publish the exploit
-                    // decision, which the caller runs instead.
-                    tuner.report_outcome(MeasureOutcome::Failed("infeasible proposal".into()));
-                    let exploit = tuner.exploit_choice();
-                    slot.publish(exploit.0, &exploit.1);
-                    Err(exploit)
+                    // An irreparable proposal took the penalty path inside
+                    // the claim instead of letting the caller run (and
+                    // time) an invalid configuration: re-publish the
+                    // exploit decision, which the caller runs instead.
+                    tuner.tuner.next_feasible().map_err(|penalized| {
+                        tuner.rate.record(penalized.value);
+                        let exploit = tuner.tuner.exploit_choice();
+                        slot.publish(exploit.0, &exploit.1);
+                        exploit
+                    })
                 });
                 match proposal {
                     Ok(p) => {
@@ -1037,7 +921,7 @@ impl SiteGuard {
                 // SAFETY: this thread holds the claim (see `Sync` impl).
                 let tuner = unsafe { &mut (*slot.state.get()).tuner };
                 tuner.report_outcome(outcome);
-                let (algo, config) = tuner.exploit_choice();
+                let (algo, config) = tuner.tuner.exploit_choice();
                 slot.publish(algo, &config);
             });
             slot.claim.store(0, Ordering::Release);
@@ -1082,7 +966,7 @@ impl Drop for SiteGuard {
         let slot = self.site.slot;
         if self.path == CallPath::Tuning {
             // SAFETY: this thread holds the claim (see `Sync` impl).
-            unsafe { &mut (*slot.state.get()).tuner }.abandon();
+            unsafe { &mut (*slot.state.get()).tuner.tuner }.abandon();
             slot.claim.store(0, Ordering::Release);
         }
         // Abandoned calls are not counted: nothing ran to completion.
@@ -1360,8 +1244,8 @@ mod tests {
         }
         assert_eq!(s.calls(), 20);
         s.with_tuner(|t| {
-            let tuner = t.as_single().unwrap();
-            assert_eq!(tuner.failure_count(), 20, "each call penalized once");
+            let tuner = t.as_two_phase().unwrap();
+            assert_eq!(tuner.failure_counts(), [20], "each call penalized once");
         });
     }
 

@@ -372,14 +372,14 @@ impl SpanKind {
 /// heap-free so recording never allocates.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EventKind {
-    /// A tuning iteration began (emitted by `TwoPhaseTuner::next` and
-    /// `OnlineTuner` step drivers).
+    /// A tuning iteration began (emitted by `TwoPhaseTuner::next`).
     IterationStart {
         /// Zero-based iteration counter of the emitting tuner.
         iteration: u64,
     },
     /// Phase 2 selected an algorithm, with the strategy's current weight
-    /// vector at selection time.
+    /// vector at selection time. A one-algorithm tuner selects nothing
+    /// and emits none.
     AlgorithmSelected {
         /// Index of the chosen algorithm.
         algorithm: u16,

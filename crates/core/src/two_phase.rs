@@ -15,7 +15,7 @@
 
 use crate::nominal::{
     EpsilonGradient, EpsilonGreedy, GradientWeighted, NominalStrategy, OptimumWeighted,
-    SlidingWindowAuc, Softmax,
+    SlidingWindowAuc,
 };
 use crate::robust::{failure_penalty, MeasureOutcome};
 use crate::search::{HillClimbing, NelderMead, NelderMeadOptions, RandomSearch, Searcher};
@@ -73,9 +73,6 @@ pub enum NominalKind {
     OptimumWeighted,
     /// Sliding-Window AUC with the given window.
     SlidingWindowAuc(usize),
-    /// Softmax/Gibbs with the given temperature and window (the baseline
-    /// the paper rejects).
-    Softmax(f64, usize),
     /// Combined ε-Greedy with gradient-weighted exploration (ε, window) —
     /// the paper's future-work mitigation for crossover scenarios.
     EpsilonGradient(f64, usize),
@@ -107,7 +104,6 @@ impl NominalKind {
             NominalKind::SlidingWindowAuc(w) => {
                 Box::new(SlidingWindowAuc::new(num_algorithms, w, seed))
             }
-            NominalKind::Softmax(t, w) => Box::new(Softmax::new(num_algorithms, t, w, seed)),
             NominalKind::EpsilonGradient(eps, w) => {
                 Box::new(EpsilonGradient::new(num_algorithms, eps, w, seed))
             }
@@ -247,12 +243,6 @@ impl TwoPhaseTuner {
         &self.specs[i].name
     }
 
-    /// Search space of algorithm `i` — constraints included, so callers can
-    /// check [`SearchSpace::is_feasible`] before spending a measurement.
-    pub fn space(&self, i: usize) -> &SearchSpace {
-        &self.specs[i].space
-    }
-
     /// Phase-2 strategy display name.
     pub fn strategy_name(&self) -> String {
         self.strategy.name()
@@ -260,6 +250,10 @@ impl TwoPhaseTuner {
 
     /// One tuning iteration, phases applied in reverse order: select the
     /// algorithm (phase 2), then its parameter configuration (phase 1).
+    ///
+    /// With a single algorithm there is nothing to select: phase 2 is not
+    /// consulted, so the iteration draws no RNG and emits no
+    /// `AlgorithmSelected` event — single-space tuning is phase 1 alone.
     ///
     /// Named `next` for the ask/tell protocol; not an `Iterator`.
     #[allow(clippy::should_implement_trait)]
@@ -271,21 +265,41 @@ impl TwoPhaseTuner {
         telemetry::emit(|| EventKind::IterationStart {
             iteration: self.iteration as u64,
         });
-        let algorithm = self.strategy.select();
-        telemetry::emit(|| {
-            // Snapshot the phase-2 weight vector into a stack buffer —
-            // recording must not allocate.
-            let mut weights = [0.0f64; MAX_TRACKED_ALGORITHMS];
-            let n = self.strategy.num_algorithms().min(MAX_TRACKED_ALGORITHMS);
-            self.strategy.weights_into(&mut weights[..n]);
-            EventKind::AlgorithmSelected {
-                algorithm: algorithm as u16,
-                weights: WeightSet::from_slice(&weights[..n]),
-            }
-        });
+        let algorithm = if self.specs.len() == 1 {
+            0
+        } else {
+            let algorithm = self.strategy.select();
+            telemetry::emit(|| {
+                // Snapshot the phase-2 weight vector into a stack buffer —
+                // recording must not allocate.
+                let mut weights = [0.0f64; MAX_TRACKED_ALGORITHMS];
+                let n = self.strategy.num_algorithms().min(MAX_TRACKED_ALGORITHMS);
+                self.strategy.weights_into(&mut weights[..n]);
+                EventKind::AlgorithmSelected {
+                    algorithm: algorithm as u16,
+                    weights: WeightSet::from_slice(&weights[..n]),
+                }
+            });
+            algorithm
+        };
         let config = self.searchers[algorithm].propose();
         self.pending = Some((algorithm, config.clone()));
         (algorithm, config)
+    }
+
+    /// [`TwoPhaseTuner::next`] behind the feasibility gate — the one place
+    /// a driver checks a proposal against its algorithm's constraints. A
+    /// proposal the phase-1 searcher could not repair into the constrained
+    /// region is never handed out for measurement: it takes the penalty
+    /// path at once ([`TwoPhaseTuner::report_failure`]) and the recorded
+    /// sample comes back as the `Err`.
+    pub fn next_feasible(&mut self) -> Result<(usize, Configuration), TwoPhaseSample> {
+        let (algorithm, config) = self.next();
+        if self.specs[algorithm].space.is_feasible(&config) {
+            Ok((algorithm, config))
+        } else {
+            Err(self.report_failure())
+        }
     }
 
     /// Report the measured runtime of the configuration returned by the
@@ -386,17 +400,11 @@ impl TwoPhaseTuner {
     /// Convenience: run one full iteration against a measurement function
     /// `m(algorithm, config) -> runtime`.
     ///
-    /// An infeasible proposal — one the phase-1 searcher could not repair
-    /// into the constrained region — is *never* passed to `m`: it takes the
-    /// penalty path directly, so no real measurement is burned on a
-    /// configuration that violates a declared constraint.
+    /// An infeasible proposal is *never* passed to `m` (see
+    /// [`TwoPhaseTuner::next_feasible`]), so no real measurement is burned
+    /// on a configuration that violates a declared constraint.
     pub fn step<F: FnMut(usize, &Configuration) -> f64>(&mut self, mut m: F) -> TwoPhaseSample {
-        let (a, c) = self.next();
-        if !self.specs[a].space.is_feasible(&c) {
-            return self.report_failure();
-        }
-        let v = m(a, &c);
-        self.report(v)
+        self.step_fallible(|a, c| MeasureOutcome::Ok(m(a, c)))
     }
 
     /// Convenience: run one full iteration against a *fallible* measurement
@@ -409,12 +417,13 @@ impl TwoPhaseTuner {
         &mut self,
         mut m: F,
     ) -> TwoPhaseSample {
-        let (a, c) = self.next();
-        if !self.specs[a].space.is_feasible(&c) {
-            return self.report_failure();
+        match self.next_feasible() {
+            Ok((a, c)) => {
+                let outcome = m(a, &c);
+                self.report_outcome(outcome)
+            }
+            Err(penalized) => penalized,
         }
-        let outcome = m(a, &c);
-        self.report_outcome(outcome)
     }
 
     /// Per-algorithm count of failed measurements.

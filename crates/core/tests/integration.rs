@@ -218,3 +218,32 @@ fn mixed_tuner_equals_two_phase_on_explicit_algorithm_parameter() {
     assert!((best.get(1).as_i64() - 15).abs() <= 2, "{best:?}");
     assert!(v < 5.0);
 }
+
+#[test]
+fn one_algorithm_tuner_runs_exactly_its_phase1_searcher() {
+    // Single-space tuning is a one-algorithm TwoPhaseTuner whose phase 2
+    // is never consulted: it must propose and record exactly what the bare
+    // Nelder-Mead searcher does when driven by `run_loop`.
+    let cost = |c: &Configuration| {
+        5.0 + 0.5 * (c.get(0).as_f64() - 4.0).powi(2) + (c.get(1).as_f64() + 6.0).abs()
+    };
+    let mut searched = Vec::new();
+    let mut searcher = NelderMead::new(bowl_space(), NelderMeadOptions::default());
+    let mut measure = |c: &Configuration| {
+        searched.push(c.clone());
+        cost(c)
+    };
+    let values = run_loop(&mut searcher, &mut measure, 200);
+
+    let specs = vec![AlgorithmSpec::new("bowl", bowl_space())];
+    let mut tuner = TwoPhaseTuner::new(specs, NominalKind::EpsilonGreedy(0.5), 3);
+    for (i, (config, value)) in searched.iter().zip(&values).enumerate() {
+        let s = tuner.step(|_, c| cost(c));
+        assert_eq!(
+            (s.algorithm, &s.config, s.value),
+            (0, config, *value),
+            "iteration {i}"
+        );
+    }
+    assert_eq!(tuner.log().len(), 200);
+}

@@ -10,10 +10,8 @@
 
 use crate::cs1::Cs1Runs;
 use crate::report::{GroupedBoxFigure, SeriesFigure};
-use autotune::search::{NelderMead, NelderMeadOptions};
 use autotune::stats;
-use autotune::tuner::{OnlineTuner, Termination};
-use autotune::two_phase::TwoPhaseTuner;
+use autotune::two_phase::{AlgorithmSpec, NominalKind, TwoPhaseTuner};
 use raytrace::render::{frame, RenderOptions};
 use raytrace::scene::{cathedral, Scene};
 use raytrace::tunable;
@@ -83,8 +81,8 @@ pub fn algorithm_names() -> Vec<String> {
 }
 
 /// Figure 5: per-algorithm Nelder-Mead tuning timelines. Each builder is
-/// tuned alone (no algorithmic choice) for `frames` iterations; the series
-/// are frame times averaged over repetitions.
+/// tuned alone (a one-algorithm tuner: no algorithmic choice) for `frames`
+/// iterations; the series are frame times averaged over repetitions.
 pub fn fig5(cfg: &Cs2Config) -> SeriesFigure {
     let scene = cfg.scene();
     let opts = cfg.render_options();
@@ -93,11 +91,10 @@ pub fn fig5(cfg: &Cs2Config) -> SeriesFigure {
     for b in &builders {
         let mut reps: Vec<Vec<f64>> = Vec::with_capacity(cfg.reps);
         for _rep in 0..cfg.reps {
-            let space = tunable::space_for(b.name());
-            let start = tunable::start_for(b.name());
-            let nm = NelderMead::from_start(space, &start, NelderMeadOptions::default());
-            let mut tuner = OnlineTuner::new(nm, Termination::Never);
-            let mut m = |c: &autotune::space::Configuration| {
+            let spec = AlgorithmSpec::new(b.name(), tunable::space_for(b.name()))
+                .with_start(tunable::start_for(b.name()));
+            let mut tuner = TwoPhaseTuner::new(vec![spec], NominalKind::OptimumWeighted, cfg.seed);
+            let mut m = |_: usize, c: &autotune::space::Configuration| {
                 let config = tunable::decode(b.name(), c);
                 let ropts = tunable::decode_render(c, &opts);
                 frame(&scene, b.as_ref(), &config, &ropts).total_ms()

@@ -484,24 +484,25 @@ fn site_json(name: &str, s: Site) -> Json {
         ("restarts", Json::Num(s.restarts() as f64)),
     ];
     s.with_tuner(|t| {
-        if let Some(tp) = t.as_two_phase() {
-            let (exploit, _) = tp.exploit_choice();
-            pairs.push(("algorithms", Json::Num(tp.num_algorithms() as f64)));
-            pairs.push((
-                "exploit_algorithm",
-                Json::Str(tp.algorithm_name(exploit).into()),
-            ));
-            pairs.push(("log_len", Json::Num(tp.log().len() as f64)));
-            pairs.push((
-                "selection_counts",
-                Json::Arr(
-                    tp.selection_counts()
-                        .iter()
-                        .map(|&c| Json::Num(c as f64))
-                        .collect(),
-                ),
-            ));
-        }
+        let tp = t
+            .as_two_phase()
+            .expect("every site embeds a two-phase tuner");
+        let (exploit, _) = tp.exploit_choice();
+        pairs.push(("algorithms", Json::Num(tp.num_algorithms() as f64)));
+        pairs.push((
+            "exploit_algorithm",
+            Json::Str(tp.algorithm_name(exploit).into()),
+        ));
+        pairs.push(("log_len", Json::Num(tp.log().len() as f64)));
+        pairs.push((
+            "selection_counts",
+            Json::Arr(
+                tp.selection_counts()
+                    .iter()
+                    .map(|&c| Json::Num(c as f64))
+                    .collect(),
+            ),
+        ));
     });
     Json::obj(pairs)
 }

@@ -6,8 +6,8 @@
 //!    same seeds: every claim CAS succeeds, the tuned calls' sample log
 //!    equals the direct tuner's, and every call the tuning-rate controller
 //!    backs off runs the direct tuner's exploit choice at that point. Both
-//!    the two-phase and the single-space tuner flavors are checked
-//!    sample-by-sample.
+//!    a multi-algorithm site and a single-space (one-algorithm) site are
+//!    checked sample-by-sample.
 //! 2. **Multi-thread stress** — counters never lose updates, every
 //!    completed call is exactly one of a tuned iteration, a contended
 //!    exploit call or a backed-off call, and the tuner's log length equals
@@ -23,10 +23,9 @@
 
 use autotune::context::{ContextKey, ContextSites};
 use autotune::param::Parameter;
-use autotune::robust::MeasureOutcome;
+use autotune::robust::{MeasureOutcome, DEFAULT_FAILURE_PENALTY_MS};
 use autotune::site::{register, site, Site, SiteSpec};
 use autotune::space::{Configuration, SearchSpace};
-use autotune::tuner::{OnlineTuner, Termination};
 use autotune::two_phase::{AlgorithmSpec, NominalKind, Phase1Kind, TwoPhaseTuner};
 
 fn specs() -> Vec<AlgorithmSpec> {
@@ -142,20 +141,15 @@ fn single_thread_single_space_equivalence() {
         Parameter::interval("b", -15, 15),
     ]);
 
-    let searcher = Phase1Kind::NelderMead.build(&AlgorithmSpec::new("equiv", space.clone()), SEED);
-    let mut direct = OnlineTuner::new(searcher, Termination::Never);
-    // A single-space site exploits its best configuration, or the space's
-    // minimum corner before any sample.
-    let exploit = |t: &OnlineTuner<_>| {
-        let best = t.best().map(|(c, _): (&Configuration, f64)| c.clone());
-        (0, best.unwrap_or_else(|| space.min_corner()))
-    };
-    let mut exploits = vec![exploit(&direct)];
+    // A single-space site is a one-algorithm tuner named after the site.
+    let specs = vec![AlgorithmSpec::new("equiv-space", space.clone())];
+    let mut direct = TwoPhaseTuner::new(specs, NominalKind::OptimumWeighted, SEED);
+    let mut exploits = vec![direct.exploit_choice()];
     for _ in 0..ITERS {
-        let config = direct.ask();
+        let (_, config) = direct.next();
         let v = cost(1, &config);
-        direct.tell_outcome(MeasureOutcome::Ok(v));
-        exploits.push(exploit(&direct));
+        direct.report_outcome(MeasureOutcome::Ok(v));
+        exploits.push(direct.exploit_choice());
     }
 
     let s = site(register(SiteSpec::space("equiv-space", space, SEED)));
@@ -166,7 +160,7 @@ fn single_thread_single_space_equivalence() {
     assert!(backed_off > 0, "the plateaued site must back off");
 
     s.with_tuner(|t| {
-        let site_log = t.as_single().unwrap().log();
+        let site_log = t.as_two_phase().unwrap().log();
         assert_eq!(site_log.len(), ITERS);
         assert_eq!(site_log, direct.log());
     });
@@ -329,6 +323,43 @@ fn call_with(s: Site, value: f64) -> bool {
     tuned
 }
 
+/// The tuner log values of a fresh single-space site fed `outcomes`, one
+/// tuned call each.
+fn logged_values(name: &str, outcomes: Vec<MeasureOutcome>) -> Vec<f64> {
+    let s = one_dim_site(name, 0xFA1);
+    for outcome in outcomes {
+        let guard = s.pre();
+        assert!(guard.is_tuning());
+        guard.post_outcome(outcome);
+    }
+    s.with_tuner(|t| {
+        t.as_two_phase()
+            .unwrap()
+            .log()
+            .iter()
+            .map(|x| x.value)
+            .collect()
+    })
+}
+
+#[test]
+fn single_space_failures_escalate_the_penalty() {
+    // DESIGN.md §9: a failure records 4x the worst recorded value,
+    // earlier penalties included, so repeated failures escalate.
+    let failed = || MeasureOutcome::Failed("injected".into());
+    let values = logged_values(
+        "penalty-escalates",
+        vec![MeasureOutcome::Ok(10.0), failed(), failed()],
+    );
+    assert_eq!(values, [10.0, 40.0, 160.0]);
+}
+
+#[test]
+fn single_space_failure_before_any_success_records_the_default_penalty() {
+    let values = logged_values("penalty-default", vec![MeasureOutcome::TimedOut]);
+    assert_eq!(values, [DEFAULT_FAILURE_PENALTY_MS]);
+}
+
 #[test]
 fn tuned_calls_follow_the_documented_gap_schedule() {
     const CALLS: u64 = 3000;
@@ -352,7 +383,7 @@ fn tuned_calls_follow_the_documented_gap_schedule() {
     }
     assert_eq!(s.tuned_iterations(), tuned_calls.len() as u64);
     assert_eq!(s.backed_off(), CALLS - tuned_calls.len() as u64);
-    s.with_tuner(|t| assert_eq!(t.as_single().unwrap().log().len(), tuned_calls.len()));
+    s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().log().len(), tuned_calls.len()));
     // The gaps double once per plateaued iteration and cap at 64.
     let gaps: Vec<u64> = tuned_calls.windows(2).map(|w| w[1] - w[0]).collect();
     assert!(
