@@ -16,6 +16,12 @@
 //!   threads, so no site runs enough tuning iterations to plateau and
 //!   every leg measures tuning calls (the bench checks that none backed
 //!   off).
+//! * **The converged call** — a site whose exploit algorithm has two
+//!   parameters plateaus around a ~1 ns kernel, and the backed-off calls
+//!   in the 63-call stretches between its tuning calls are timed as one
+//!   stretch each: what an untuned call costs (heap-free decision read,
+//!   counters instead of a trace event, one clock pair per 64 calls).
+//!   Run with telemetry off and on; on may cost at most 1.25× off.
 //! * **Convergence parity** — a sample of sites re-driven with synthetic
 //!   deterministic costs until their tuners hold N samples must produce
 //!   *bit-identical* tuner logs to direct tuners with the same seeds, and
@@ -28,9 +34,11 @@
 //! 1-thread and 8-thread smoke legs.
 
 use autotune::json::Json;
+use autotune::param::Parameter;
 use autotune::robust::MeasureOutcome;
 use autotune::site::{register, site, Site, SiteSpec};
-use autotune::space::Configuration;
+use autotune::space::{Configuration, SearchSpace};
+use autotune::telemetry;
 use autotune::two_phase::{AlgorithmSpec, NominalKind, Phase1Kind, TwoPhaseTuner};
 use std::time::Instant;
 
@@ -141,6 +149,99 @@ fn bench_dispatch(samples: usize) -> DispatchNs {
         site: site_ns,
         site_after_gap,
         backed_off,
+    }
+}
+
+/// Backed-off calls per stretch: the 63 calls between two tuning calls at
+/// the widest gap.
+const STRETCH: u32 = 63;
+
+/// (d) Median cost of a backed-off call around a ~1 ns kernel, in
+/// nanoseconds, with telemetry off and on. Each leg has a fresh site
+/// choosing between "tiled" (two parameters, reported at 1 ns) and
+/// "plain" (1 µs), which plateaus onto "tiled" and backs off to one
+/// tuning call in 64. Each sample times the stretch of backed-off calls
+/// that follows a tuning call, as one span divided by its length, so the
+/// bench's own clock pair is spread over the stretch. The two legs take
+/// their stretches in turn, so a burst of host noise hits both.
+fn bench_converged_call(stretches: usize) -> (f64, f64) {
+    let register_leg = |name: &str| {
+        let tiled = SearchSpace::new(vec![
+            Parameter::ratio("tile", 1, 64),
+            Parameter::interval("unroll", 0, 8),
+        ]);
+        site(register(SiteSpec::algorithms(
+            name,
+            vec![
+                AlgorithmSpec::new("tiled", tiled),
+                AlgorithmSpec::untunable("plain"),
+            ],
+            NominalKind::EpsilonGreedy(0.10),
+            77,
+        )))
+    };
+    // One call; a tuning call reports its algorithm's cost.
+    let call = |s: Site| {
+        let guard = s.pre();
+        let tuning = guard.is_tuning();
+        let sum: i64 = guard.config().values().iter().map(|v| v.as_i64()).sum();
+        std::hint::black_box(sum);
+        if tuning {
+            let ms = [1e-6, 1e-3][guard.algorithm()];
+            guard.post_outcome(MeasureOutcome::Ok(ms));
+        } else {
+            guard.post();
+        }
+        tuning
+    };
+    // Per-call ns of the backed-off stretch after `s`'s next tuning call.
+    let stretch = |s: Site| {
+        while !call(s) {}
+        let tuned_before = s.tuned_iterations();
+        let start = Instant::now();
+        for _ in 0..STRETCH {
+            call(s);
+        }
+        let elapsed = start.elapsed();
+        assert_eq!(s.tuned_iterations(), tuned_before, "a stretch tuned");
+        elapsed.as_nanos() as f64 / f64::from(STRETCH)
+    };
+    let legs = [
+        register_leg("bench-converged-off"),
+        register_leg("bench-converged-on"),
+    ];
+    let mut ns = [Vec::with_capacity(stretches), Vec::with_capacity(stretches)];
+    for (i, &s) in legs.iter().enumerate() {
+        set_telemetry(i == 1);
+        // 38 tuned iterations reach the widest gap.
+        for _ in 0..20_000 {
+            call(s);
+        }
+        assert_eq!(
+            s.timing_stride(),
+            64,
+            "a 1 ns incumbent is timed 1 call in 64"
+        );
+    }
+    for _ in 0..stretches {
+        for (i, &s) in legs.iter().enumerate() {
+            set_telemetry(i == 1);
+            ns[i].push(stretch(s));
+        }
+    }
+    set_telemetry(false);
+    let [off, on] = ns.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[stretches / 2]
+    });
+    (off, on)
+}
+
+fn set_telemetry(on: bool) {
+    if on {
+        telemetry::enable();
+    } else {
+        telemetry::disable();
     }
 }
 
@@ -285,6 +386,15 @@ fn main() {
         d.site_after_gap, d.backed_off
     );
 
+    let stretches = if quick { 1000 } else { 4000 };
+    let (converged_off, converged_on) = bench_converged_call(stretches);
+    let converged_ratio = converged_on / converged_off;
+    println!(
+        "converged call (~1 ns kernel, two parameters): backed-off {converged_off:.1}ns \
+         with telemetry off, {converged_on:.1}ns on ({converged_ratio:.2}x), \
+         median of {stretches} stretches of {STRETCH}"
+    );
+
     let sites = register_population(NUM_SITES);
     let sweeps = if quick { 5 } else { 20 };
     let counts = thread_counts();
@@ -323,6 +433,9 @@ fn main() {
             ("dispatch_overhead", Json::Num(overhead)),
             ("dispatch_site_after_gap_ns", Json::Num(d.site_after_gap)),
             ("dispatch_backed_off_ns", Json::Num(d.backed_off)),
+            ("converged_call_off_ns", Json::Num(converged_off)),
+            ("converged_call_on_ns", Json::Num(converged_on)),
+            ("converged_call_on_off_ratio", Json::Num(converged_ratio)),
             (
                 "throughput",
                 Json::Arr(
@@ -346,6 +459,11 @@ fn main() {
     );
 
     assert!(parity, "site dispatch diverged from the direct tuner");
+    // Untuned calls push no trace event, so telemetry barely touches them.
+    assert!(
+        converged_on <= 1.25 * converged_off,
+        "a backed-off call costs {converged_on:.1}ns with telemetry on vs {converged_off:.1}ns off"
+    );
     // Every leg must compare tuning calls: a leg whose sites plateaued
     // would measure the cheaper backed-off path instead.
     for &(threads, _, _, backed_off, _, _) in &legs {

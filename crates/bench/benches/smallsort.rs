@@ -19,6 +19,10 @@
 //!   times single requests and samples only the tuning iterations; the
 //!   mean over every request of that stream is reported beside it as the
 //!   amortized cost.
+//! * **Steady state** — a class-4 key whose site has reached the widest
+//!   gap (one tuning call in 64): the mean request, tuning calls
+//!   included, against the bare sort of the same input. Reported, not
+//!   gated; ROADMAP's target is ≤ 3×.
 //!
 //! Persists `BENCH_smallsort.json` at the workspace root.
 
@@ -104,6 +108,69 @@ fn bench_class(
     (tuning_ns[samples / 2], total_ns / requests as f64)
 }
 
+/// The steady-state leg's class.
+const STEADY_CLASS: u32 = 4;
+
+/// Requests per steady-state block: one full gap.
+const STEADY_BLOCK: usize = 64;
+
+/// (c) Steady state: median over `blocks` blocks of [`STEADY_BLOCK`]
+/// requests of a class-[`STEADY_CLASS`] key that has reached the widest
+/// gap, against the bare sort of the same input with the key's exploit
+/// choice, both per request in nanoseconds. Both legs reset the input by
+/// the same memcpy.
+fn steady_state(seed: u64, blocks: usize) -> (f64, f64) {
+    let sites = SortSites::register(
+        "bench/smallsort-steady",
+        NominalKind::EpsilonGreedy(0.10),
+        4712,
+    );
+    let n = (1usize << STEADY_CLASS) * 3 / 4;
+    let mut rng = Rng::new(seed);
+    let input: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+    let site = sites.key_site(SortKey::of(&input));
+    let mut data = input.clone();
+    // 38 tuned iterations reach the widest gap; run well past them.
+    while site.calls() < 20_000 {
+        data.copy_from_slice(&input);
+        sort_request(&sites, &mut data);
+    }
+    let block_ns = |mut request: Box<dyn FnMut() + '_>| {
+        let mut ns: Vec<f64> = (0..blocks)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..STEADY_BLOCK {
+                    request();
+                }
+                start.elapsed().as_nanos() as f64 / STEADY_BLOCK as f64
+            })
+            .collect();
+        ns.sort_by(f64::total_cmp);
+        ns[blocks / 2]
+    };
+    let tuned_before = site.tuned_iterations();
+    let steady_ns = block_ns(Box::new(|| {
+        data.copy_from_slice(&input);
+        sort_request(&sites, &mut data);
+    }));
+    let tuned = site.tuned_iterations() - tuned_before;
+    assert!(
+        tuned as usize <= blocks + 1,
+        "{tuned} tuning calls in {blocks} blocks of {STEADY_BLOCK}: the key is not at the widest gap"
+    );
+    let (exploit, config) = site.with_tuner(|t| {
+        t.as_two_phase()
+            .expect("sort sites are two-phase")
+            .exploit_choice()
+    });
+    let mut scratch = input.clone();
+    let bare_ns = block_ns(Box::new(|| {
+        scratch.copy_from_slice(&input);
+        sort_with(exploit, &config, &mut scratch);
+    }));
+    (steady_ns, bare_ns)
+}
+
 /// One class's dispatch measurements (see [`bench_class`]).
 struct Dispatch {
     class: u32,
@@ -176,6 +243,14 @@ fn main() {
         });
     }
 
+    // (c) Steady state at the widest gap.
+    let (steady_ns, bare_ns) = steady_state(6100, if quick { 200 } else { 4000 });
+    let steady_ratio = steady_ns / bare_ns;
+    println!(
+        "\nsteady state, class {STEADY_CLASS} at the 64-call gap: request {steady_ns:.0}ns vs \
+         bare sort {bare_ns:.0}ns = {steady_ratio:.1}x (target <= 3x)"
+    );
+
     let tables: Vec<Json> = study
         .tables
         .iter()
@@ -229,6 +304,17 @@ fn main() {
                         })
                         .collect(),
                 ),
+            ),
+            (
+                "steady_state",
+                Json::obj(vec![
+                    ("class", Json::Num(STEADY_CLASS as f64)),
+                    ("block_requests", Json::Num(STEADY_BLOCK as f64)),
+                    ("request_ns", Json::Num(steady_ns)),
+                    ("bare_sort_ns", Json::Num(bare_ns)),
+                    ("ratio", Json::Num(steady_ratio)),
+                    ("target_ratio", Json::Num(3.0)),
+                ]),
             ),
         ],
     );

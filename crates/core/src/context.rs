@@ -907,7 +907,9 @@ impl ContextGuard {
     }
 
     /// Report the elapsed wall time since dispatch as the call's
-    /// measurement; returns the measured milliseconds.
+    /// measurement; returns the measured milliseconds, or `NaN` for an
+    /// untuned call the key's timing stride left untimed (see
+    /// [`crate::site::SiteGuard::post`]).
     pub fn post(mut self) -> f64 {
         let guard = self.guard.take().expect("guard posted twice");
         telemetry::with_context(self.context, || guard.post())

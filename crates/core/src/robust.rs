@@ -122,6 +122,28 @@ pub fn timer_resolution_ms() -> f64 {
     })
 }
 
+/// What timing one call costs on this host, in milliseconds: a clock read
+/// before the call and an elapsed-time read after it, measured back to
+/// back (the minimum over a few batches, so a preempted batch does not
+/// count) and cached like [`timer_resolution_ms`]. The resolution is no
+/// substitute: on a coarse clock it is the tick, not the read. A site
+/// sizes its timing stride for untuned calls by it ([`crate::site`]).
+pub fn clock_pair_ms() -> f64 {
+    static COST: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
+    *COST.get_or_init(|| {
+        const PAIRS: u32 = 64;
+        let mut best = f64::INFINITY;
+        for _ in 0..8 {
+            let t0 = Instant::now();
+            for _ in 0..PAIRS {
+                std::hint::black_box(std::hint::black_box(Instant::now()).elapsed());
+            }
+            best = best.min(t0.elapsed().as_secs_f64() * 1e3 / f64::from(PAIRS));
+        }
+        best.max(RESOLUTION_FLOOR_MS)
+    })
+}
+
 /// Core of [`batched_time_ms`], parameterized over the clock so a
 /// deliberately quantized clock can drive the regression tests: time `k`
 /// back-to-back calls of `f`, growing `k` geometrically from 1 until the

@@ -72,9 +72,10 @@
 //! * **Loser** — does *not* wait. It reads the most recently *published*
 //!   decision (best algorithm + its best-known configuration) through a
 //!   seqlock and runs that; the tuner never sees its time. Contended
-//!   calls therefore cost one failed CAS plus a seqlock read, and the
-//!   measurement stream feeding the tuner stays serialized per site — no
-//!   torn or interleaved ask/tell protocols, no lost updates.
+//!   calls therefore cost one failed CAS plus a seqlock read into an
+//!   inline [`Configuration`] (no allocation), and the measurement stream
+//!   feeding the tuner stays serialized per site — no torn or
+//!   interleaved ask/tell protocols, no lost updates.
 //!
 //! **Tuning rate.** The paper tunes until convergence and then exploits;
 //! an always-on site has to notice convergence itself. Once a site's best
@@ -102,16 +103,32 @@
 //! even a torn read-in-progress is well-defined — the retry just discards
 //! it.
 //!
-//! **Counters.** Per-site call, contention and back-off counters are
-//! `fetch_add`s on the slot, bumped when a call completes — monotonic and
-//! exact (no lost updates), which the 8-thread stress test in
-//! `tests/site_runtime.rs` pins. Every completed call is exactly one of
-//! tuned, contended or backed off.
+//! **Timing stride.** A contended or backed-off call is *untuned*: its
+//! time feeds no tuner, only the caller (a drift monitor) and the site's
+//! runtime histogram. Each publish therefore also stores a timing stride
+//! `k`, the smallest power of two up to 64 for which one clock pair
+//! ([`crate::robust::clock_pair_ms`]) costs at most 5% of `k` runs of
+//! the published incumbent, and an untuned call is timed only when the
+//! site's count of completed untuned calls is a multiple of `k`
+//! ([`Site::timing_stride`]); an untimed [`SiteGuard::post`] returns
+//! `NaN`. µs-scale kernels keep `k = 1`; tuning iterations are always
+//! timed. DESIGN.md §12 explains the budget.
+//!
+//! **Counters.** Per-site call, contention, back-off and timed-call
+//! counters are `fetch_add`s on the slot, bumped when a call completes —
+//! monotonic and exact (no lost updates), which the 8-thread stress test
+//! in `tests/site_runtime.rs` pins. Every completed call is exactly one
+//! of tuned, contended or backed off. A timed, successful untuned call
+//! also lands in the slot's log-spaced runtime histogram
+//! ([`Site::untuned_quantile_ms`]).
 //!
 //! **Telemetry.** Every event a site's tuner emits is stamped with the
 //! site's id via [`crate::telemetry::with_site`], so one global trace
 //! interleaves thousands of sites and can still be split per site at
-//! export time.
+//! export time. An untuned call pushes no event unless it failed or
+//! timed out: its traffic reaches the trace as the
+//! [`EventKind::SiteTraffic`] summary each tuned iteration ends with, so
+//! the global metric registers count tuned-path outcomes only.
 //!
 //! Single-threaded use drives the embedded tuner exactly as a direct
 //! caller would: the claim CAS always succeeds, so the tuned calls'
@@ -122,8 +139,9 @@
 
 use crate::measure::duration_ms;
 use crate::param::Value;
-use crate::robust::MeasureOutcome;
+use crate::robust::{clock_pair_ms, MeasureOutcome};
 use crate::space::{Configuration, Constraint, SearchSpace};
+use crate::telemetry::metrics::{bucket_index, bucket_quantile, HIST_BUCKETS};
 use crate::telemetry::{self, EventKind, MeasureStatus};
 use crate::two_phase::{AlgorithmSpec, NominalKind, TwoPhaseTuner};
 use std::cell::UnsafeCell;
@@ -139,10 +157,10 @@ pub const NUM_SHARDS: usize = 64;
 
 const SITES_PER_SHARD: usize = MAX_SITES / NUM_SHARDS;
 
-/// Maximum number of parameters a site's per-algorithm configuration may
-/// have: the published exploit decision inlines every parameter value into
-/// a fixed, heap-free seqlock payload. Checked at registration.
-pub const MAX_PUBLISHED_PARAMS: usize = 8;
+/// The published exploit decision inlines every parameter value into a
+/// fixed, heap-free seqlock payload, so it holds as many values as a
+/// [`Configuration`] does.
+pub use crate::space::MAX_PUBLISHED_PARAMS;
 
 /// Identifier of a registered tuning site: a dense index into the global
 /// registry, cheap to store in a `static` (see [`crate::tune_site!`]).
@@ -262,6 +280,29 @@ const PLATEAU_TOLERANCE: f64 = 0.05;
 /// The widest gap between tuning calls is `2^MAX_GAP_LOG2` = 64 calls.
 const MAX_GAP_LOG2: usize = 6;
 
+/// Share of an untuned call's runtime that timing it may cost: an
+/// untuned call is timed once per stride `k`, the smallest power of two
+/// for which one clock pair costs at most this share of `k` runs of the
+/// published incumbent.
+const TIMING_BUDGET: f64 = 0.05;
+
+/// The widest timing stride is `2^MAX_STRIDE_LOG2` = 64 untuned calls.
+const MAX_STRIDE_LOG2: u32 = 6;
+
+/// The timing stride for a published incumbent worth `value_ms`, when
+/// timing one call costs `clock_pair_ms`: the smallest power of two
+/// `k ≤ 64` with `clock_pair_ms ≤ TIMING_BUDGET · k · value_ms`. An
+/// incumbent without a value yet (`NaN`) is timed on every call.
+fn timing_stride(value_ms: f64, clock_pair_ms: f64) -> u32 {
+    let mut k = 1u32;
+    if value_ms > 0.0 {
+        while k < 1 << MAX_STRIDE_LOG2 && clock_pair_ms > TIMING_BUDGET * f64::from(k) * value_ms {
+            k *= 2;
+        }
+    }
+    k
+}
+
 /// A site's tuning-rate controller (see the module docs and DESIGN.md
 /// §12): a plateau counter over the tuned iterations' values, and the
 /// number of claim-winning calls still to serve from the published
@@ -336,15 +377,6 @@ impl SiteTuner {
             nominal,
             seed,
         } = spec;
-        for s in &specs {
-            assert!(
-                s.space.dims() <= MAX_PUBLISHED_PARAMS,
-                "algorithm '{}' has {} parameters; sites publish at most {}",
-                s.name,
-                s.space.dims(),
-                MAX_PUBLISHED_PARAMS
-            );
-        }
         let tuner = SiteTuner {
             tuner: TwoPhaseTuner::new(specs, nominal, seed),
             rate: TuningRate::new(),
@@ -439,6 +471,12 @@ struct SiteSlot {
     /// Completed calls the tuning-rate controller served from the
     /// published decision.
     backed_off: AtomicU64,
+    /// Completed untuned (contended or backed-off) calls that were timed.
+    timed: AtomicU64,
+    /// Timing stride of the published decision (see [`timing_stride`]):
+    /// an untuned call is timed when the count of completed untuned calls
+    /// is a multiple of it.
+    stride: AtomicU32,
     /// Times the tuner was rebuilt from the recipe ([`Site::restart`]).
     restarts: AtomicU64,
     /// Seqlock sequence word for the published decision (even = stable).
@@ -452,6 +490,9 @@ struct SiteSlot {
     pub_tags: AtomicU64,
     /// Published decision: parameter value bits.
     pub_vals: [AtomicU64; MAX_PUBLISHED_PARAMS],
+    /// Runtimes of the timed, successful untuned calls, counted per
+    /// [`bucket_index`] bucket.
+    runtimes: [AtomicU64; HIST_BUCKETS],
     id: SiteId,
     name: String,
     /// Algorithm count of the current binding; atomic because
@@ -514,12 +555,15 @@ impl SiteSlot {
             calls: AtomicU64::new(0),
             contended: AtomicU64::new(0),
             backed_off: AtomicU64::new(0),
+            timed: AtomicU64::new(0),
+            stride: AtomicU32::new(1),
             restarts: AtomicU64::new(0),
             seq: AtomicU32::new(0),
             pub_algo: AtomicU32::new(0),
             pub_len: AtomicU32::new(0),
             pub_tags: AtomicU64::new(0),
             pub_vals: Default::default(),
+            runtimes: std::array::from_fn(|_| AtomicU64::new(0)),
             id,
             name,
             num_algorithms: AtomicU32::new(num_algorithms as u32),
@@ -529,15 +573,18 @@ impl SiteSlot {
         // the space's minimum corner) so the exploit fast path is valid
         // from the very first contended call. Single-threaded here: the
         // slot is not yet visible to the registry.
-        let (algo, config) = unsafe { &(*slot.state.get()).tuner.tuner }.exploit_choice();
-        slot.publish(algo, &config);
+        slot.publish(unsafe { &(*slot.state.get()).tuner.tuner });
         slot
     }
 
-    /// Publish `(algo, config)` as the decision contended callers run.
-    /// Caller must hold the claim (or be constructing the slot), so there
-    /// is exactly one writer at a time.
-    fn publish(&self, algo: usize, config: &Configuration) {
+    /// Publish `tuner`'s exploit choice as the decision untuned calls
+    /// run, and the timing stride of its incumbent's value; returns the
+    /// choice. Caller must hold the claim (or be constructing the slot),
+    /// so there is exactly one writer at a time.
+    fn publish(&self, tuner: &TwoPhaseTuner) -> (usize, Configuration) {
+        let (algo, config, value) = tuner.exploit_incumbent();
+        self.stride
+            .store(timing_stride(value, clock_pair_ms()), Ordering::Relaxed);
         let s = self.seq.load(Ordering::Relaxed);
         self.seq.store(s.wrapping_add(1), Ordering::Relaxed);
         // Order the odd sequence before the payload stores.
@@ -546,7 +593,7 @@ impl SiteSlot {
         let values = config.values();
         self.pub_len.store(values.len() as u32, Ordering::Relaxed);
         let mut tags = 0u64;
-        for (i, v) in values.iter().take(MAX_PUBLISHED_PARAMS).enumerate() {
+        for (i, v) in values.iter().enumerate() {
             let (bits, tag) = encode_value(*v);
             self.pub_vals[i].store(bits, Ordering::Relaxed);
             tags |= tag << (2 * i);
@@ -554,10 +601,11 @@ impl SiteSlot {
         self.pub_tags.store(tags, Ordering::Relaxed);
         // Order the payload stores before the even sequence.
         self.seq.store(s.wrapping_add(2), Ordering::Release);
+        (algo, config)
     }
 
-    /// Seqlock read of the published decision. Lock-free: retries only
-    /// while a concurrent publish is mid-flight.
+    /// Seqlock read of the published decision. Lock-free and heap-free:
+    /// retries only while a concurrent publish is mid-flight.
     fn read_decision(&self) -> (usize, Configuration) {
         loop {
             let s1 = self.seq.load(Ordering::Acquire);
@@ -565,21 +613,32 @@ impl SiteSlot {
                 let algo = self.pub_algo.load(Ordering::Relaxed) as usize;
                 let len = (self.pub_len.load(Ordering::Relaxed) as usize).min(MAX_PUBLISHED_PARAMS);
                 let tags = self.pub_tags.load(Ordering::Relaxed);
-                let mut values = Vec::with_capacity(len);
-                for (i, slot) in self.pub_vals.iter().take(len).enumerate() {
-                    values.push(decode_value(
-                        slot.load(Ordering::Relaxed),
-                        (tags >> (2 * i)) & 0b11,
-                    ));
-                }
+                let config = self.pub_vals[..len]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| decode_value(v.load(Ordering::Relaxed), (tags >> (2 * i)) & 0b11))
+                    .collect();
                 // Order the payload loads before the sequence re-check.
                 fence(Ordering::Acquire);
                 if self.seq.load(Ordering::Relaxed) == s1 {
-                    return (algo, Configuration::new(values));
+                    return (algo, config);
                 }
             }
             std::hint::spin_loop();
         }
+    }
+
+    /// Should an untuned call starting now be timed? Yes when the count
+    /// of completed untuned calls is a multiple of the published stride.
+    /// The count is the site's own, so the timed calls neither alias with
+    /// the rate controller's gap between tuning calls nor with the calls
+    /// a thread makes to other sites in turn.
+    fn times_untuned_call(&self) -> bool {
+        let untuned =
+            self.contended.load(Ordering::Relaxed) + self.backed_off.load(Ordering::Relaxed);
+        // The stride is a power of two: a mask, not a division.
+        let stride = u64::from(self.stride.load(Ordering::Relaxed));
+        untuned & (stride - 1) == 0
     }
 }
 
@@ -628,6 +687,33 @@ impl Site {
         self.slot.backed_off.load(Ordering::Acquire)
     }
 
+    /// Untuned (contended or backed-off) calls that were timed, by the
+    /// guard's clock at the published [`Site::timing_stride`] or by the
+    /// caller ([`SiteGuard::post_outcome`]). Their runtimes make up
+    /// [`Site::untuned_quantile_ms`].
+    pub fn timed(self) -> u64 {
+        self.slot.timed.load(Ordering::Acquire)
+    }
+
+    /// The published decision's timing stride `k`: an untuned call is
+    /// timed when the site's count of completed untuned calls is a
+    /// multiple of `k`. The smallest power of two, at most 64, for which
+    /// one clock pair costs at most 5% of `k` runs of the published
+    /// incumbent (DESIGN.md §12); 1 before the incumbent has a value.
+    pub fn timing_stride(self) -> u32 {
+        self.slot.stride.load(Ordering::Relaxed)
+    }
+
+    /// The `q`-quantile (`0 ≤ q ≤ 1`) of the timed untuned calls'
+    /// runtimes in milliseconds, from a log-spaced histogram
+    /// ([`crate::telemetry::metrics::bucket_quantile`]); `NaN` before the
+    /// first one.
+    pub fn untuned_quantile_ms(self, q: f64) -> f64 {
+        let counts: [u64; HIST_BUCKETS] =
+            std::array::from_fn(|i| self.slot.runtimes[i].load(Ordering::Relaxed));
+        bucket_quantile(&counts, q)
+    }
+
     /// Calls that ran a full tuning iteration: `calls − contended −
     /// backed_off`. Loading the two path counters first means every call
     /// they count is already in `calls`, so a read racing live traffic
@@ -670,8 +756,7 @@ impl Site {
         let state = unsafe { &mut *slot.state.get() };
         let (tuner, _name) = SiteTuner::build(state.recipe.clone());
         state.tuner = tuner;
-        let (algo, config) = state.tuner.tuner.exploit_choice();
-        slot.publish(algo, &config);
+        slot.publish(&state.tuner.tuner);
         slot.restarts.fetch_add(1, Ordering::Relaxed);
         slot.claim.store(0, Ordering::Release);
     }
@@ -717,8 +802,7 @@ impl Site {
         state.recipe = spec;
         slot.num_algorithms
             .store(state.tuner.tuner.num_algorithms() as u32, Ordering::Relaxed);
-        let (algo, config) = state.tuner.tuner.exploit_choice();
-        slot.publish(algo, &config);
+        slot.publish(&state.tuner.tuner);
         slot.claim.store(0, Ordering::Release);
         outgoing
     }
@@ -748,34 +832,33 @@ impl Site {
                 // exploit choice; no writer can race this read.
                 (CallPath::BackedOff, slot.read_decision())
             } else {
-                let proposal = telemetry::with_site(slot.id.tag(), || {
-                    // An irreparable proposal took the penalty path inside
-                    // the claim instead of letting the caller run (and
-                    // time) an invalid configuration: re-publish the
-                    // exploit decision, which the caller runs instead.
-                    tuner.tuner.next_feasible().map_err(|penalized| {
-                        tuner.rate.record(penalized.value);
-                        let exploit = tuner.tuner.exploit_choice();
-                        slot.publish(exploit.0, &exploit.1);
-                        exploit
-                    })
-                });
-                match proposal {
+                match telemetry::with_site(slot.id.tag(), || tuner.tuner.next_feasible()) {
                     Ok(p) => {
                         std::mem::forget(bomb);
                         (CallPath::Tuning, p)
                     }
-                    Err(exploit) => (CallPath::Penalized, exploit),
+                    // An irreparable proposal took the penalty path inside
+                    // the claim instead of letting the caller run (and
+                    // time) an invalid configuration: re-publish the
+                    // exploit decision, which the caller runs instead.
+                    Err(penalized) => {
+                        tuner.rate.record(penalized.value);
+                        (CallPath::Penalized, slot.publish(&tuner.tuner))
+                    }
                 }
             }
         } else {
             (CallPath::Contended, slot.read_decision())
         };
+        let timed = match path {
+            CallPath::Tuning | CallPath::Penalized => true,
+            CallPath::BackedOff | CallPath::Contended => slot.times_untuned_call(),
+        };
         SiteGuard {
             site: self,
             algorithm,
             config,
-            start: Instant::now(),
+            start: timed.then(Instant::now),
             path,
             finished: false,
         }
@@ -842,6 +925,7 @@ impl std::fmt::Debug for Site {
             .field("calls", &self.calls())
             .field("contended", &self.contended())
             .field("backed_off", &self.backed_off())
+            .field("timed", &self.timed())
             .finish()
     }
 }
@@ -870,7 +954,9 @@ pub struct SiteGuard {
     site: Site,
     algorithm: usize,
     config: Configuration,
-    start: Instant,
+    /// When the call started, if it is timed: always on the tuning path,
+    /// once per timing stride on the untuned paths.
+    start: Option<Instant>,
     path: CallPath,
     finished: bool,
 }
@@ -898,9 +984,11 @@ impl SiteGuard {
     /// Complete the call (Tuna's `tuna_post`): report the elapsed wall
     /// time since [`Site::pre`] to the site's tuner (tuning iterations)
     /// or just record the call (exploit fast path). Returns the elapsed
-    /// milliseconds either way.
+    /// milliseconds, or `NaN` for an untuned call the site's timing
+    /// stride left untimed ([`Site::timing_stride`]); tuning iterations
+    /// are always timed.
     pub fn post(mut self) -> f64 {
-        let ms = duration_ms(self.start.elapsed());
+        let ms = self.start.map_or(f64::NAN, |t| duration_ms(t.elapsed()));
         self.finish(MeasureOutcome::Ok(ms));
         ms
     }
@@ -916,34 +1004,37 @@ impl SiteGuard {
     fn finish(&mut self, outcome: MeasureOutcome) {
         self.finished = true;
         let slot = self.site.slot;
-        if self.path == CallPath::Tuning {
-            telemetry::with_site(slot.id.tag(), || {
-                // SAFETY: this thread holds the claim (see `Sync` impl).
-                let tuner = unsafe { &mut (*slot.state.get()).tuner };
-                tuner.report_outcome(outcome);
-                let (algo, config) = tuner.tuner.exploit_choice();
-                slot.publish(algo, &config);
-            });
-            slot.claim.store(0, Ordering::Release);
-        } else {
-            // Exploit fast path: the tuner never sees this sample, but the
-            // trace still shows the site's activity.
-            let algorithm = self.algorithm as u16;
-            telemetry::with_site(slot.id.tag(), || {
-                telemetry::emit(|| EventKind::MeasureOutcome {
-                    algorithm,
-                    status: match &outcome {
-                        MeasureOutcome::Ok(_) => MeasureStatus::Ok,
-                        MeasureOutcome::Failed(_) => MeasureStatus::Failed,
-                        MeasureOutcome::TimedOut => MeasureStatus::TimedOut,
-                    },
-                    runtime_ms: match &outcome {
-                        MeasureOutcome::Ok(v) => *v,
-                        _ => f64::NAN,
-                    },
+        let sample = match (self.path, &outcome) {
+            (CallPath::Tuning, _) => {
+                telemetry::with_site(slot.id.tag(), || {
+                    // SAFETY: this thread holds the claim (see `Sync` impl).
+                    let tuner = unsafe { &mut (*slot.state.get()).tuner };
+                    tuner.report_outcome(outcome);
+                    slot.publish(&tuner.tuner);
                 });
-            });
-        }
+                slot.claim.store(0, Ordering::Release);
+                None
+            }
+            // A successful untuned call feeds the site's counters and
+            // histogram below, not the trace; an untimed one (`NaN`)
+            // only counts.
+            (CallPath::BackedOff | CallPath::Contended, MeasureOutcome::Ok(ms)) => {
+                (!ms.is_nan()).then_some(*ms)
+            }
+            // Failures and timeouts on the exploit path, and calls whose
+            // proposal was penalized in `pre`, stay visible in the trace.
+            _ => {
+                let algorithm = self.algorithm as u16;
+                telemetry::with_site(slot.id.tag(), || {
+                    telemetry::emit(|| EventKind::MeasureOutcome {
+                        algorithm,
+                        status: MeasureStatus::of(&outcome),
+                        runtime_ms: outcome.ok().unwrap_or(f64::NAN),
+                    });
+                });
+                None
+            }
+        };
         slot.calls.fetch_add(1, Ordering::Relaxed);
         // After `calls`, with `Release`: a reader that sees a path count
         // also sees its call (see `Site::tuned_iterations`).
@@ -954,6 +1045,20 @@ impl SiteGuard {
         };
         if let Some(count) = path_count {
             count.fetch_add(1, Ordering::Release);
+        }
+        if let Some(ms) = sample {
+            slot.runtimes[bucket_index(ms)].fetch_add(1, Ordering::Relaxed);
+            slot.timed.fetch_add(1, Ordering::Release);
+        }
+        if self.path == CallPath::Tuning {
+            telemetry::with_site(slot.id.tag(), || {
+                telemetry::emit(|| EventKind::SiteTraffic {
+                    calls: slot.calls.load(Ordering::Relaxed),
+                    backed_off: slot.backed_off.load(Ordering::Relaxed),
+                    contended: slot.contended.load(Ordering::Relaxed),
+                    timed: slot.timed.load(Ordering::Relaxed),
+                });
+            });
         }
     }
 }
@@ -1122,6 +1227,29 @@ mod tests {
         ] {
             let (bits, tag) = encode_value(v);
             assert_eq!(decode_value(bits, tag), v);
+        }
+    }
+
+    #[test]
+    fn timing_stride_spends_at_most_five_percent_on_the_clock() {
+        let clock = 90e-6; // a 90 ns clock pair
+        assert_eq!(timing_stride(2e-3, clock), 1, "a 2 µs kernel: every call");
+        assert_eq!(timing_stride(1.5e-3, clock), 2);
+        assert_eq!(timing_stride(500e-6, clock), 4);
+        assert_eq!(timing_stride(50e-6, clock), 64, "50 ns: capped at 64");
+        assert_eq!(timing_stride(1e-6, clock), 64);
+        assert_eq!(timing_stride(f64::NAN, clock), 1, "no incumbent value yet");
+        assert_eq!(timing_stride(f64::INFINITY, clock), 1);
+        for v in [3e-6, 40e-6, 700e-6, 1.7e-3] {
+            let k = timing_stride(v, clock);
+            assert!(
+                k == 64 || clock <= TIMING_BUDGET * f64::from(k) * v,
+                "{v}: k = {k}"
+            );
+            assert!(
+                k == 1 || clock > TIMING_BUDGET * f64::from(k / 2) * v,
+                "{v}: k = {k}"
+            );
         }
     }
 

@@ -19,60 +19,94 @@ use crate::rng::Rng;
 use crate::telemetry::{self, EventKind};
 use std::sync::Arc;
 
+/// Most parameter values a [`Configuration`] holds — and so the most
+/// parameters a [`SearchSpace`] may have. Values are stored inline, so
+/// creating, cloning and comparing a configuration never touches the heap,
+/// and a site publishes its decision as a fixed-size payload
+/// ([`crate::site`]).
+pub const MAX_PUBLISHED_PARAMS: usize = 8;
+
 /// A point in a [`SearchSpace`]: one [`Value`] per parameter, in parameter
-/// order.
-#[derive(Debug, Clone, PartialEq)]
+/// order, stored inline (at most [`MAX_PUBLISHED_PARAMS`]).
+#[derive(Clone)]
 pub struct Configuration {
-    values: Vec<Value>,
+    /// `values[..len]` are the parameter values; the rest stay
+    /// `Value::Int(0)`.
+    values: [Value; MAX_PUBLISHED_PARAMS],
+    len: u8,
 }
 
 impl Configuration {
     /// Wrap a raw value vector. Prefer [`SearchSpace::configuration`] which
-    /// validates against the space.
+    /// validates against the space. Panics on more than
+    /// [`MAX_PUBLISHED_PARAMS`] values.
     pub fn new(values: Vec<Value>) -> Self {
-        Configuration { values }
+        Self::from_slice(&values)
+    }
+
+    /// A configuration holding a copy of `values`, without allocating.
+    /// Panics on more than [`MAX_PUBLISHED_PARAMS`] values.
+    pub fn from_slice(values: &[Value]) -> Self {
+        Self::try_from_slice(values).unwrap_or_else(|| {
+            panic!(
+                "a configuration holds at most {MAX_PUBLISHED_PARAMS} values, got {}",
+                values.len()
+            )
+        })
+    }
+
+    /// [`Configuration::from_slice`], or `None` when `values` does not fit.
+    fn try_from_slice(values: &[Value]) -> Option<Self> {
+        let mut c = Self::empty();
+        c.values.get_mut(..values.len())?.copy_from_slice(values);
+        c.len = values.len() as u8;
+        Some(c)
     }
 
     /// An empty configuration for a zero-parameter space (used by case
     /// study 1, where the string matchers expose no tunables).
     pub fn empty() -> Self {
-        Configuration { values: Vec::new() }
+        Configuration {
+            values: [Value::Int(0); MAX_PUBLISHED_PARAMS],
+            len: 0,
+        }
     }
 
     /// All parameter values, in space order.
     pub fn values(&self) -> &[Value] {
-        &self.values
+        &self.values[..self.len as usize]
     }
 
     /// Number of parameter values (the space's dimensionality).
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len as usize
     }
 
     /// True for the zero-parameter configuration.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len == 0
     }
 
     /// Value of the `i`-th parameter.
     pub fn get(&self, i: usize) -> Value {
-        self.values[i]
+        self.values()[i]
     }
 
     /// Continuous coordinates of this configuration, for numeric searchers.
     pub fn as_coords(&self) -> Vec<f64> {
-        self.values.iter().map(|v| v.as_f64()).collect()
+        self.values().iter().map(|v| v.as_f64()).collect()
     }
 
     /// JSON encoding: `{"values": [...]}` with externally-tagged values.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![(
             "values",
-            Json::Arr(self.values.iter().map(|v| v.to_json()).collect()),
+            Json::Arr(self.values().iter().map(|v| v.to_json()).collect()),
         )])
     }
 
-    /// Inverse of [`Configuration::to_json`].
+    /// Inverse of [`Configuration::to_json`]. More than
+    /// [`MAX_PUBLISHED_PARAMS`] values is an error.
     pub fn from_json(json: &Json) -> Result<Configuration, JsonError> {
         let values = json
             .get("values")
@@ -84,7 +118,44 @@ impl Configuration {
             .iter()
             .map(Value::from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Configuration { values })
+        Configuration::try_from_slice(&values).ok_or_else(|| JsonError {
+            message: format!(
+                "configuration has {} values; at most {MAX_PUBLISHED_PARAMS} fit",
+                values.len()
+            ),
+            offset: 0,
+        })
+    }
+}
+
+/// Collects at most [`MAX_PUBLISHED_PARAMS`] values without allocating;
+/// panics on more.
+impl FromIterator<Value> for Configuration {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        let mut c = Configuration::empty();
+        for v in iter {
+            assert!(
+                c.len() < MAX_PUBLISHED_PARAMS,
+                "a configuration holds at most {MAX_PUBLISHED_PARAMS} values"
+            );
+            c.values[c.len()] = v;
+            c.len += 1;
+        }
+        c
+    }
+}
+
+impl PartialEq for Configuration {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl std::fmt::Debug for Configuration {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Configuration")
+            .field("values", &self.values())
+            .finish()
     }
 }
 
@@ -208,8 +279,14 @@ impl PartialEq for SearchSpace {
 }
 
 impl SearchSpace {
-    /// A space over the given parameters, in order.
+    /// A space over the given parameters, in order. Panics on more than
+    /// [`MAX_PUBLISHED_PARAMS`] parameters.
     pub fn new(params: Vec<Parameter>) -> Self {
+        assert!(
+            params.len() <= MAX_PUBLISHED_PARAMS,
+            "a search space has at most {MAX_PUBLISHED_PARAMS} parameters, got {}",
+            params.len()
+        );
         SearchSpace {
             params,
             constraints: Vec::new(),
@@ -307,7 +384,7 @@ impl SearchSpace {
                 });
             }
         }
-        Ok(Configuration::new(values))
+        Ok(Configuration::from_slice(&values))
     }
 
     /// Is `c` a member of this space?
@@ -370,7 +447,7 @@ impl SearchSpace {
     /// A uniformly random configuration (box only; see
     /// [`SearchSpace::random_feasible`] for the constraint-aware variant).
     pub fn random(&self, rng: &mut Rng) -> Configuration {
-        Configuration::new(self.params.iter().map(|p| p.random_value(rng)).collect())
+        self.params.iter().map(|p| p.random_value(rng)).collect()
     }
 
     /// A random configuration projected into the feasible region: draw
@@ -395,7 +472,7 @@ impl SearchSpace {
     /// The deterministic "lowest corner" configuration — the paper's
     /// strategies "start with a deterministic configuration".
     pub fn min_corner(&self) -> Configuration {
-        Configuration::new(self.params.iter().map(|p| p.min_value()).collect())
+        self.params.iter().map(|p| p.min_value()).collect()
     }
 
     /// The minimum corner projected into the feasible region (repaired if
@@ -418,13 +495,11 @@ impl SearchSpace {
                 penalty_ms: 0.0,
             });
         }
-        Configuration::new(
-            self.params
-                .iter()
-                .zip(coords)
-                .map(|(p, &x)| p.clamp_continuous(x))
-                .collect(),
-        )
+        self.params
+            .iter()
+            .zip(coords)
+            .map(|(p, &x)| p.clamp_continuous(x))
+            .collect()
     }
 
     /// Project continuous coordinates into the *feasible* region: box-clamp,
@@ -446,7 +521,7 @@ impl SearchSpace {
         let mut out = Vec::with_capacity(card as usize);
         let mut current: Vec<Value> = self.params.iter().map(|p| p.min_value()).collect();
         loop {
-            out.push(Configuration::new(current.clone()));
+            out.push(Configuration::from_slice(&current));
             // Odometer increment, most-significant parameter first.
             let mut k = self.params.len();
             loop {
@@ -482,9 +557,10 @@ impl SearchSpace {
         )])
     }
 
-    /// Inverse of [`SearchSpace::to_json`].
+    /// Inverse of [`SearchSpace::to_json`]. More than
+    /// [`MAX_PUBLISHED_PARAMS`] parameters is an error.
     pub fn from_json(json: &Json) -> Result<SearchSpace, JsonError> {
-        let params = json
+        let params: Vec<Parameter> = json
             .get("params")
             .and_then(Json::as_arr)
             .ok_or_else(|| JsonError {
@@ -493,7 +569,16 @@ impl SearchSpace {
             })?
             .iter()
             .map(Parameter::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<_, _>>()?;
+        if params.len() > MAX_PUBLISHED_PARAMS {
+            return Err(JsonError {
+                message: format!(
+                    "search space has {} parameters; at most {MAX_PUBLISHED_PARAMS} fit",
+                    params.len()
+                ),
+                offset: 0,
+            });
+        }
         Ok(SearchSpace::new(params))
     }
 
@@ -503,9 +588,9 @@ impl SearchSpace {
         let mut out = Vec::new();
         for (i, p) in self.params.iter().enumerate() {
             for n in p.neighbors(c.get(i)) {
-                let mut vals = c.values().to_vec();
-                vals[i] = n;
-                out.push(Configuration::new(vals));
+                let mut neighbor = c.clone();
+                neighbor.values[i] = n;
+                out.push(neighbor);
             }
         }
         out
@@ -799,6 +884,54 @@ mod tests {
         assert_eq!(c.values(), &[Value::Int(1), Value::Int(0)]);
         let c = s.clamp(&[f64::NEG_INFINITY, f64::NAN]);
         assert_eq!(c.values(), &[Value::Int(1), Value::Int(0)]);
+    }
+
+    #[test]
+    fn configuration_json_with_more_values_than_fit_is_an_error() {
+        let values = |n: usize| {
+            Json::obj(vec![(
+                "values",
+                Json::Arr((0..n).map(|i| Value::Int(i as i64).to_json()).collect()),
+            )])
+        };
+        let full = Configuration::from_json(&values(MAX_PUBLISHED_PARAMS)).unwrap();
+        assert_eq!(full.len(), MAX_PUBLISHED_PARAMS);
+        assert_eq!(Configuration::from_json(&full.to_json()), Ok(full));
+        let err = Configuration::from_json(&values(MAX_PUBLISHED_PARAMS + 1)).unwrap_err();
+        assert!(err.message.contains("at most"), "{}", err.message);
+        assert!(Configuration::from_json(&values(1000)).is_err());
+    }
+
+    #[test]
+    fn search_space_json_with_more_params_than_fit_is_an_error() {
+        let params = |n: usize| {
+            Json::obj(vec![(
+                "params",
+                Json::Arr(
+                    (0..n)
+                        .map(|i| Parameter::ratio(format!("p{i}"), 0, 3).to_json())
+                        .collect(),
+                ),
+            )])
+        };
+        let full = SearchSpace::from_json(&params(MAX_PUBLISHED_PARAMS)).unwrap();
+        assert_eq!(full.dims(), MAX_PUBLISHED_PARAMS);
+        assert_eq!(full.min_corner().len(), MAX_PUBLISHED_PARAMS);
+        let err = SearchSpace::from_json(&params(MAX_PUBLISHED_PARAMS + 1)).unwrap_err();
+        assert!(err.message.contains("at most"), "{}", err.message);
+    }
+
+    #[test]
+    fn inline_configurations_compare_and_print_their_values_only() {
+        let a = Configuration::new(vec![Value::Int(3), Value::Float(0.5)]);
+        let b: Configuration = [Value::Int(3), Value::Float(0.5)].into_iter().collect();
+        assert_eq!(a, b);
+        assert_ne!(a, Configuration::new(vec![Value::Int(3)]));
+        assert_eq!(
+            format!("{a:?}"),
+            "Configuration { values: [Int(3), Float(0.5)] }"
+        );
+        assert_eq!(Configuration::from_slice(a.values()), a);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   [`event_from_json`]`(`[`event_to_json`]`(e)) == e`.
 //! * **Chrome trace** — a `{"traceEvents": [...]}` document loadable in
 //!   Perfetto or `chrome://tracing`: workload spans become `B`/`E`
-//!   duration events, queue depths and phase-2 weights become `C`
-//!   counter tracks, everything else becomes instant events.
+//!   duration events, queue depths, phase-2 weights and site traffic
+//!   become `C` counter tracks, everything else becomes instant events.
 
 use super::{Event, EventKind, MeasureStatus, SimplexOp, SpanKind, WeightSet, NO_CONTEXT, NO_SITE};
 use crate::json::{Json, JsonError};
@@ -138,6 +138,19 @@ fn event_kind_to_json(event: &Event) -> Json {
             ("depth", Json::Num(*depth as f64)),
             ("workers", Json::Num(*workers as f64)),
         ]),
+        EventKind::SiteTraffic {
+            calls,
+            backed_off,
+            contended,
+            timed,
+        } => Json::obj(vec![
+            t,
+            ("kind", Json::Str("site-traffic".into())),
+            ("calls", Json::Num(*calls as f64)),
+            ("backed_off", Json::Num(*backed_off as f64)),
+            ("contended", Json::Num(*contended as f64)),
+            ("timed", Json::Num(*timed as f64)),
+        ]),
         EventKind::DriftDetected {
             baseline_ms,
             observed_ms,
@@ -246,6 +259,18 @@ pub fn append_event_jsonl(event: &Event, out: &mut String) {
             num(out, "depth", *depth as f64);
             num(out, "workers", *workers as f64);
         }
+        EventKind::SiteTraffic {
+            calls,
+            backed_off,
+            contended,
+            timed,
+        } => {
+            str_field(out, "kind", "site-traffic");
+            num(out, "calls", *calls as f64);
+            num(out, "backed_off", *backed_off as f64);
+            num(out, "contended", *contended as f64);
+            num(out, "timed", *timed as f64);
+        }
         EventKind::DriftDetected {
             baseline_ms,
             observed_ms,
@@ -337,6 +362,12 @@ pub fn event_from_json(j: &Json) -> Result<Event, JsonError> {
         "queue-depth" => EventKind::QueueDepth {
             depth: get_u64(j, "depth")? as u32,
             workers: get_u64(j, "workers")? as u32,
+        },
+        "site-traffic" => EventKind::SiteTraffic {
+            calls: get_u64(j, "calls")?,
+            backed_off: get_u64(j, "backed_off")?,
+            contended: get_u64(j, "contended")?,
+            timed: get_u64(j, "timed")?,
         },
         "drift-detected" => EventKind::DriftDetected {
             baseline_ms: get_f64(j, "baseline_ms")?,
@@ -493,10 +524,11 @@ fn trace_row(name: &str, ph: &str, ts_us: f64, tid: f64, args: Vec<(&str, Json)>
 /// Convert an event stream to Chrome `trace_event` JSON, loadable in
 /// Perfetto or `chrome://tracing`.
 ///
-/// Workload spans map to `B`/`E` duration events; [`EventKind::QueueDepth`]
-/// and the phase-2 weight vector map to `C` counter tracks (so queue depth
-/// and weight evolution plot as graphs); everything else maps to instant
-/// events carrying its payload in `args`.
+/// Workload spans map to `B`/`E` duration events; [`EventKind::QueueDepth`],
+/// [`EventKind::SiteTraffic`] and the phase-2 weight vector map to `C`
+/// counter tracks (so queue depth, site traffic and weight evolution plot
+/// as graphs); everything else maps to instant events carrying its
+/// payload in `args`.
 pub fn chrome_trace(events: &[Event]) -> Json {
     let mut rows = Vec::with_capacity(events.len() + 1);
     rows.push(trace_row(
@@ -614,6 +646,23 @@ pub fn chrome_trace(events: &[Event]) -> Json {
                     ("workers", Json::Num(*workers as f64)),
                 ],
             )),
+            EventKind::SiteTraffic {
+                calls,
+                backed_off,
+                contended,
+                timed,
+            } => rows.push(trace_row(
+                "site-traffic",
+                "C",
+                ts,
+                tid,
+                vec![
+                    ("calls", Json::Num(*calls as f64)),
+                    ("backed_off", Json::Num(*backed_off as f64)),
+                    ("contended", Json::Num(*contended as f64)),
+                    ("timed", Json::Num(*timed as f64)),
+                ],
+            )),
             EventKind::DriftDetected {
                 baseline_ms,
                 observed_ms,
@@ -715,6 +764,17 @@ mod tests {
                 kind: EventKind::QueueDepth {
                     depth: 3,
                     workers: 8,
+                },
+            },
+            Event {
+                t_us: 103,
+                site: 7,
+                context: 3,
+                kind: EventKind::SiteTraffic {
+                    calls: 4096,
+                    backed_off: 3969,
+                    contended: 62,
+                    timed: 126,
                 },
             },
             Event {

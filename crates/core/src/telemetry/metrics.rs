@@ -50,6 +50,32 @@ pub fn bucket_lower_bound(i: usize) -> f64 {
     }
 }
 
+/// The `q`-quantile (`0 ≤ q ≤ 1`) of a histogram of [`bucket_index`]
+/// counts, in milliseconds: the geometric middle of the bucket holding
+/// that sample, so within a factor of `10^(1/(2·BUCKETS_PER_DECADE))`
+/// ≈ 1.33 of the true value; [`RESOLUTION_FLOOR_MS`] for the underflow
+/// bucket and `NaN` for an empty histogram.
+pub fn bucket_quantile(counts: &[u64], q: f64) -> f64 {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return f64::NAN;
+    }
+    // The rank of the quantile sample, 1-based.
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0;
+    for (i, &c) in counts.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            return if i == 0 {
+                RESOLUTION_FLOOR_MS
+            } else {
+                bucket_lower_bound(i) * 10f64.powf(0.5 / BUCKETS_PER_DECADE as f64)
+            };
+        }
+    }
+    unreachable!("the rank never exceeds the total")
+}
+
 /// Atomic registers for one algorithm.
 #[derive(Debug)]
 struct AlgoRegister {
@@ -182,7 +208,7 @@ impl Metrics {
             EventKind::SpanBegin { .. } => {
                 self.spans.fetch_add(1, Ordering::Relaxed);
             }
-            EventKind::SpanEnd { .. } => {}
+            EventKind::SpanEnd { .. } | EventKind::SiteTraffic { .. } => {}
             EventKind::QueueDepth { depth, .. } => {
                 let d = *depth as u64;
                 self.max_queue_depth.fetch_max(d, Ordering::Relaxed);
@@ -359,6 +385,23 @@ mod tests {
             let lo = bucket_lower_bound(i);
             assert_eq!(bucket_index(lo * 1.0001), i);
         }
+    }
+
+    #[test]
+    fn bucket_quantile_finds_the_bucket_of_the_ranked_sample() {
+        let mut counts = [0u64; HIST_BUCKETS];
+        assert!(bucket_quantile(&counts, 0.5).is_nan());
+        counts[bucket_index(50e-6)] = 90;
+        counts[bucket_index(2e-3)] = 10;
+        let p50 = bucket_quantile(&counts, 0.5);
+        let p99 = bucket_quantile(&counts, 0.99);
+        assert_eq!(bucket_index(p50), bucket_index(50e-6));
+        assert_eq!(bucket_index(p99), bucket_index(2e-3));
+        assert!((p50 / 50e-6 - 1.0).abs() < 0.8, "{p50}");
+        assert_eq!(bucket_quantile(&counts, 0.0), p50);
+        counts = [0; HIST_BUCKETS];
+        counts[0] = 3;
+        assert_eq!(bucket_quantile(&counts, 1.0), RESOLUTION_FLOOR_MS);
     }
 
     #[test]

@@ -391,7 +391,10 @@ pub enum EventKind {
         /// The simplex operation that produced the proposal.
         op: SimplexOp,
     },
-    /// A measurement finished and was reported to the tuner.
+    /// A measurement finished: a tuning iteration's, reported to the
+    /// tuner, or an untuned call's that failed or timed out (successful
+    /// untuned calls feed the site's counters instead; see
+    /// [`EventKind::SiteTraffic`]).
     MeasureOutcome {
         /// Index of the algorithm that was measured.
         algorithm: u16,
@@ -430,6 +433,20 @@ pub enum EventKind {
         depth: u32,
         /// Number of live worker threads in the pool.
         workers: u32,
+    },
+    /// A site's cumulative traffic counters, emitted once per tuned
+    /// iteration ([`crate::site`]). Untuned calls push no event of their
+    /// own, so this is how a trace sees the exploit traffic between
+    /// tuning calls.
+    SiteTraffic {
+        /// Completed calls ([`crate::site::Site::calls`]).
+        calls: u64,
+        /// Calls the tuning-rate controller backed off.
+        backed_off: u64,
+        /// Calls that lost the claim race.
+        contended: u64,
+        /// Untuned calls that were timed ([`crate::site::Site::timed`]).
+        timed: u64,
     },
     /// A drift monitor ([`crate::drift`]) detected sustained regression
     /// against the converged baseline and triggered a tuner restart. The

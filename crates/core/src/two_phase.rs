@@ -292,13 +292,14 @@ impl TwoPhaseTuner {
     /// proposal the phase-1 searcher could not repair into the constrained
     /// region is never handed out for measurement: it takes the penalty
     /// path at once ([`TwoPhaseTuner::report_failure`]) and the recorded
-    /// sample comes back as the `Err`.
-    pub fn next_feasible(&mut self) -> Result<(usize, Configuration), TwoPhaseSample> {
+    /// sample comes back as the `Err`, boxed: the penalty path is rare,
+    /// and a sample with its inline configuration is large.
+    pub fn next_feasible(&mut self) -> Result<(usize, Configuration), Box<TwoPhaseSample>> {
         let (algorithm, config) = self.next();
         if self.specs[algorithm].space.is_feasible(&config) {
             Ok((algorithm, config))
         } else {
-            Err(self.report_failure())
+            Err(Box::new(self.report_failure()))
         }
     }
 
@@ -422,7 +423,7 @@ impl TwoPhaseTuner {
                 let outcome = m(a, &c);
                 self.report_outcome(outcome)
             }
-            Err(penalized) => penalized,
+            Err(penalized) => *penalized,
         }
     }
 
@@ -471,17 +472,25 @@ impl TwoPhaseTuner {
     /// after every tuned iteration so request threads that lose the claim
     /// race can run a sensible choice without touching tuner state.
     pub fn exploit_choice(&self) -> (usize, Configuration) {
-        let algorithm = self.strategy.best().unwrap_or(0);
-        let config = self.searchers[algorithm]
-            .best()
-            .map(|(c, _)| c.clone())
-            .unwrap_or_else(|| {
-                self.specs[algorithm]
-                    .start
-                    .clone()
-                    .unwrap_or_else(|| self.specs[algorithm].space.min_corner())
-            });
+        let (algorithm, config, _) = self.exploit_incumbent();
         (algorithm, config)
+    }
+
+    /// [`TwoPhaseTuner::exploit_choice`] with the configuration's value:
+    /// the best value its phase-1 searcher has recorded for it, `NaN`
+    /// before that searcher's first sample. A site sizes the timing stride
+    /// of its untuned calls by this value.
+    pub fn exploit_incumbent(&self) -> (usize, Configuration, f64) {
+        let algorithm = self.strategy.best().unwrap_or(0);
+        match self.searchers[algorithm].best() {
+            Some((c, v)) => (algorithm, c.clone(), v),
+            None => {
+                let spec = &self.specs[algorithm];
+                let start = spec.start.clone();
+                let config = start.unwrap_or_else(|| spec.space.min_corner());
+                (algorithm, config, f64::NAN)
+            }
+        }
     }
 
     /// Globally best observed (algorithm, configuration, value).

@@ -482,6 +482,10 @@ fn site_json(name: &str, s: Site) -> Json {
         ("contended", Json::Num(s.contended() as f64)),
         ("backed_off", Json::Num(s.backed_off() as f64)),
         ("restarts", Json::Num(s.restarts() as f64)),
+        ("timing_stride", Json::Num(s.timing_stride() as f64)),
+        ("timed", Json::Num(s.timed() as f64)),
+        ("untuned_p50_ms", Json::Num(s.untuned_quantile_ms(0.5))),
+        ("untuned_p99_ms", Json::Num(s.untuned_quantile_ms(0.99))),
     ];
     s.with_tuner(|t| {
         let tp = t

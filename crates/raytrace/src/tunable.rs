@@ -268,7 +268,10 @@ pub fn measure_frame_site(
 /// one (small) frame renders, and the guard's wall time feeds the tuner.
 /// Returns `(mean_luminance, elapsed_ms)` — the luminance is a cheap
 /// image fingerprint for the response payload, the runtime is what the
-/// server's per-site drift monitor ([`autotune::drift`]) observes.
+/// server's per-site drift monitor ([`autotune::drift`]) observes. It is
+/// `NaN` for an untuned call the site's timing stride left untimed,
+/// which a ms-scale frame's stride of 1 never does
+/// ([`autotune::site::Site::timing_stride`]).
 pub fn render_request(
     site: autotune::site::Site,
     builders: &[Box<dyn KdBuilder>],

@@ -338,7 +338,9 @@ impl SortSites {
 }
 
 /// Sort `data` ascending through its context key's tuning site; the
-/// serving entry point. Returns `(key, per_call_ms)`.
+/// serving entry point. Returns `(key, per_call_ms)`, where
+/// `per_call_ms` is `NaN` for an untuned call the key's timing stride
+/// left untimed.
 ///
 /// The key ([`SortKey::of`]: size class × presortedness) is computed
 /// from the data *before* sorting — one O(n) runs scan, the price of the
@@ -355,8 +357,9 @@ impl SortSites {
 /// cost is identical across variants, a constant per-key offset that
 /// cannot reorder them. Every other call — a contended one, or one the
 /// key's tuning-rate controller backed off once the key plateaued — pays
-/// exactly one sort and the guard's single-shot clock; those quantized
-/// samples feed telemetry, never the tuner.
+/// exactly one sort, and the guard's single-shot clock only once per
+/// timing stride (a sort of tens of ns is timed 1 call in up to 64);
+/// those quantized samples feed the site's counters, never the tuner.
 pub fn sort_request_keyed(sites: &SortSites, data: &mut [u64]) -> (SortKey, f64) {
     let key = SortKey::of(data);
     let guard = sites.table.dispatch(&key);
@@ -383,7 +386,8 @@ pub fn sort_request_keyed(sites: &SortSites, data: &mut [u64]) -> (SortKey, f64)
 }
 
 /// [`sort_request_keyed`], reporting only the size class — the wire- and
-/// study-facing shape predating the presortedness axis.
+/// study-facing shape predating the presortedness axis. The milliseconds
+/// are `NaN` when the call went untimed.
 pub fn sort_request(sites: &SortSites, data: &mut [u64]) -> (u32, f64) {
     let (key, ms) = sort_request_keyed(sites, data);
     (key.class, ms)

@@ -84,7 +84,10 @@ pub fn measure_search_site(
 /// count is computed single-threaded (a server worker handles one
 /// request at a time), and the guard's wall time feeds the tuner.
 /// Returns `(count, elapsed_ms)` — the runtime is what the server's
-/// per-site drift monitor ([`autotune::drift`]) observes.
+/// per-site drift monitor ([`autotune::drift`]) observes. It is `NaN`
+/// for an untuned call the site's timing stride left untimed, which a
+/// µs-scale matcher's stride of 1 never does
+/// ([`autotune::site::Site::timing_stride`]).
 pub fn match_request(
     site: Site,
     matchers: &[Box<dyn Matcher>],

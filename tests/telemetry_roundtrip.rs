@@ -31,7 +31,7 @@ fn arbitrary_event(rng: &mut Rng) -> Event {
         autotune::telemetry::NO_CONTEXT
     };
     let algorithm = rng.next_below(16) as u16;
-    let kind = match rng.next_below(9) {
+    let kind = match rng.next_below(10) {
         0 => EventKind::IterationStart {
             iteration: rng.next_below(1 << 32),
         },
@@ -92,6 +92,12 @@ fn arbitrary_event(rng: &mut Rng) -> Event {
             } else {
                 SpanKind::Frame
             },
+        },
+        8 => EventKind::SiteTraffic {
+            calls: rng.next_below(1 << 50),
+            backed_off: rng.next_below(1 << 50),
+            contended: rng.next_below(1 << 50),
+            timed: rng.next_below(1 << 50),
         },
         _ => EventKind::QueueDepth {
             depth: rng.next_below(1 << 20) as u32,
