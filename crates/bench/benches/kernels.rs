@@ -100,7 +100,7 @@ fn tuner_convergence(iterations: usize) -> Json {
     for _ in 0..iterations {
         tuner.step(|alg, _| {
             let (hits, ms) =
-                autotune::measure::time_ms(|| matchers[alg].find_all(PAPER_QUERY, text));
+                autotune::robust::time_ms(|| matchers[alg].find_all(PAPER_QUERY, text));
             assert!(!hits.is_empty(), "query must occur in the bench corpus");
             ms
         });

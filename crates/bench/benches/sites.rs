@@ -23,10 +23,11 @@
 //!   counters instead of a trace event, one clock pair per 64 calls).
 //!   Run with telemetry off and on; on may cost at most 1.25× off.
 //! * **Convergence parity** — a sample of sites re-driven with synthetic
-//!   deterministic costs until their tuners hold N samples must produce
-//!   *bit-identical* tuner logs to direct tuners with the same seeds, and
-//!   every call the tuning-rate controller backed off must have run the
-//!   direct tuner's exploit choice at that point.
+//!   deterministic costs through N tuning iterations must run and report
+//!   the *bit-identical* (algorithm, configuration, value) sequence of
+//!   direct tuners with the same seeds and end in the same tuner state,
+//!   and every call the tuning-rate controller backed off must have run
+//!   the direct tuner's exploit choice at that point.
 //!
 //! Persists `BENCH_sites.json` at the workspace root. Thread counts for
 //! the throughput sweep can be overridden with
@@ -315,10 +316,11 @@ fn thread_counts() -> Vec<usize> {
 }
 
 /// (c) Convergence parity: drive a fresh site and a direct tuner with the
-/// same seed over the same deterministic synthetic costs until both hold
-/// `iterations` samples; the tuner logs must be bit-identical, and every
-/// backed-off call must have run the direct tuner's exploit choice after
-/// as many samples.
+/// same seed over the same deterministic synthetic costs until both have
+/// run `iterations` tuning iterations. Every tuned call's (algorithm,
+/// configuration, value) must be bit-identical on both sides, the two
+/// tuners must end in the same state, and every backed-off call must have
+/// run the direct tuner's exploit choice after as many iterations.
 fn convergence_parity(iterations: usize) -> bool {
     fn cost(alg: usize, config: &Configuration) -> f64 {
         [14.0, 8.0, 11.0][alg]
@@ -337,10 +339,12 @@ fn convergence_parity(iterations: usize) -> bool {
             seed,
         );
         let mut exploits = vec![direct.exploit_choice()];
+        let mut direct_tuned = Vec::with_capacity(iterations);
         for _ in 0..iterations {
             let (alg, config) = direct.next();
             let v = cost(alg, &config);
-            direct.report_outcome(MeasureOutcome::Ok(v));
+            let sample = direct.report_outcome(MeasureOutcome::Ok(v));
+            direct_tuned.push((sample.algorithm, sample.config, sample.value));
             exploits.push(direct.exploit_choice());
         }
         let s = site(register(SiteSpec::algorithms(
@@ -349,23 +353,30 @@ fn convergence_parity(iterations: usize) -> bool {
             NominalKind::EpsilonGreedy(0.10),
             seed,
         )));
-        let mut tuned = 0;
+        let mut site_tuned = Vec::with_capacity(iterations);
         let mut exploits_match = true;
-        while tuned < iterations {
+        while site_tuned.len() < iterations {
             let guard = s.pre();
             let v = cost(guard.algorithm(), guard.config());
             if guard.is_tuning() {
-                tuned += 1;
+                site_tuned.push((guard.algorithm(), guard.config().clone(), v));
             } else {
-                let (alg, config) = &exploits[tuned];
+                let (alg, config) = &exploits[site_tuned.len()];
                 exploits_match &= guard.algorithm() == *alg && guard.config() == config;
             }
             guard.post_outcome(MeasureOutcome::Ok(v));
         }
         exploits_match
+            && site_tuned == direct_tuned
             && s.contended() == 0
             && s.tuned_iterations() == iterations as u64
-            && s.with_tuner(|t| t.as_two_phase().unwrap().log() == direct.log())
+            && s.with_tuner(|t| {
+                let t = t.as_two_phase().unwrap();
+                t.histories() == direct.histories()
+                    && t.best() == direct.best()
+                    && t.exploit_choice() == direct.exploit_choice()
+                    && t.iterations() == direct.iterations()
+            })
     })
 }
 

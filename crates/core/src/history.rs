@@ -5,10 +5,11 @@
 //! Weighted and Sliding-Window AUC strategies look at the latest *iteration
 //! window* `[i0, i1]` of an algorithm's own samples, and Optimum Weighted at
 //! the best sample seen so far. This module centralizes that bookkeeping.
+//! A history keeps only what those decisions read — the latest window of
+//! values in a fixed ring, plus the all-time best, worst and count — so its
+//! size is fixed when it is built, however long the tuner runs.
 
-use crate::measure::Sample;
 use crate::robust::{MAX_MEASUREMENT_MS, RESOLUTION_FLOOR_MS};
-use crate::space::Configuration;
 
 /// Inverse of a runtime sample, clamped to the timer-resolution floor so
 /// the result is always finite and positive — the primitive under every
@@ -19,22 +20,33 @@ pub fn clamped_inverse(value: f64) -> f64 {
     1.0 / value.clamp(RESOLUTION_FLOOR_MS, MAX_MEASUREMENT_MS)
 }
 
-/// History of runtime samples for one algorithm.
-#[derive(Debug, Clone, Default)]
+/// History of runtime samples for one algorithm: the latest
+/// [`window`](AlgorithmHistory::window) values in a fixed ring, plus the
+/// all-time best, worst and count.
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlgorithmHistory {
-    samples: Vec<Sample>,
-    best: Option<(usize, f64)>,
+    /// Sample `k` of this algorithm's own sequence lives at
+    /// `ring[k % ring.len()]` until sample `k + ring.len()` overwrites it.
+    ring: Box<[f64]>,
+    count: usize,
+    best: Option<f64>,
     worst: Option<f64>,
 }
 
 impl AlgorithmHistory {
-    /// An empty history.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty history whose window functions read the latest `window`
+    /// values. Strategies that read only the best value keep a window of 1.
+    pub fn new(window: usize) -> Self {
+        assert!(window > 0, "window must be positive");
+        AlgorithmHistory {
+            ring: vec![0.0; window].into_boxed_slice(),
+            count: 0,
+            best: None,
+            worst: None,
+        }
     }
 
-    /// Record a new sample (measured value for `config` at global tuning
-    /// iteration `iteration`).
+    /// Record a new measured value.
     ///
     /// Recording is *total*: degenerate values are sanitized instead of
     /// panicking, because in online tuning they are produced by the live
@@ -43,7 +55,7 @@ impl AlgorithmHistory {
     /// (which the robust measurement layer should already have converted to
     /// failures) are recorded as `MAX_MEASUREMENT_MS`, the worst
     /// representable runtime.
-    pub fn record(&mut self, iteration: usize, config: Configuration, value: f64) {
+    pub fn record(&mut self, value: f64) {
         debug_assert!(
             value.is_finite(),
             "non-finite measurement {value} reached record(); \
@@ -54,43 +66,35 @@ impl AlgorithmHistory {
         } else {
             MAX_MEASUREMENT_MS
         };
-        let idx = self.samples.len();
-        if self.best.is_none_or(|(_, b)| value < b) {
-            self.best = Some((idx, value));
+        if self.best.is_none_or(|b| value < b) {
+            self.best = Some(value);
         }
         if self.worst.is_none_or(|w| value > w) {
             self.worst = Some(value);
         }
-        self.samples.push(Sample {
-            iteration,
-            config,
-            value,
-        });
+        let slot = self.count % self.ring.len();
+        self.ring[slot] = value;
+        self.count += 1;
     }
 
     /// Number of samples observed for this algorithm.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.count
     }
 
     /// True if no samples have been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.count == 0
     }
 
-    /// All recorded samples, in recording order.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// Best (minimal) measured value so far, with the sample holding it.
-    pub fn best(&self) -> Option<&Sample> {
-        self.best.map(|(i, _)| &self.samples[i])
+    /// How many of the latest values the window functions read.
+    pub fn window(&self) -> usize {
+        self.ring.len()
     }
 
     /// Best (minimal) measured value so far.
     pub fn best_value(&self) -> Option<f64> {
-        self.best.map(|(_, v)| v)
+        self.best
     }
 
     /// Worst (maximal) measured value so far — the scale the failure
@@ -101,16 +105,21 @@ impl AlgorithmHistory {
 
     /// The last measured value.
     pub fn last_value(&self) -> Option<f64> {
-        self.samples.last().map(|s| s.value)
+        let last = self.count.checked_sub(1)?;
+        Some(self.ring[last % self.ring.len()])
     }
 
-    /// The latest iteration window of length at most `window`: the paper's
-    /// `[i0, i1]` over *this algorithm's own* sample sequence. Returns the
-    /// window as a slice of samples (most recent `window` entries).
-    pub fn latest_window(&self, window: usize) -> &[Sample] {
-        assert!(window > 0, "window must be positive");
-        let start = self.samples.len().saturating_sub(window);
-        &self.samples[start..]
+    /// The latest iteration window, the paper's `[i0, i1]` over *this
+    /// algorithm's own* sample sequence: its last `min(len, window)`
+    /// values, oldest first.
+    pub fn latest_window(&self) -> impl Iterator<Item = f64> + '_ {
+        let (older, newer) = if self.count <= self.ring.len() {
+            (&self.ring[..self.count], &self.ring[..0])
+        } else {
+            let (newer, older) = self.ring.split_at(self.count % self.ring.len());
+            (older, newer)
+        };
+        older.iter().chain(newer).copied()
     }
 
     /// The paper's gradient over the latest window:
@@ -119,15 +128,15 @@ impl AlgorithmHistory {
     /// Performance is interpreted inversely to time, so a *positive* gradient
     /// means the algorithm is getting faster. Returns `None` with fewer than
     /// two samples (no gradient is defined yet).
-    pub fn window_gradient(&self, window: usize) -> Option<f64> {
-        let w = self.latest_window(window);
-        if w.len() < 2 {
+    pub fn window_gradient(&self) -> Option<f64> {
+        let len = self.count.min(self.ring.len());
+        if len < 2 {
             return None;
         }
-        let first = w.first().expect("len >= 2");
-        let last = w.last().expect("len >= 2");
-        let span = (w.len() - 1) as f64;
-        Some((clamped_inverse(last.value) - clamped_inverse(first.value)) / span)
+        let first = self.ring[(self.count - len) % self.ring.len()];
+        let last = self.last_value().expect("len >= 2");
+        let span = (len - 1) as f64;
+        Some((clamped_inverse(last) - clamped_inverse(first)) / span)
     }
 
     /// The paper's sliding-window area under the (inverse) performance curve:
@@ -136,16 +145,16 @@ impl AlgorithmHistory {
     /// With a single sample the denominator `i1 − i0` would be zero; we fall
     /// back to the single inverse value, which keeps the weight finite and
     /// strictly positive as the definition requires.
-    pub fn window_auc(&self, window: usize) -> Option<f64> {
-        let w = self.latest_window(window);
-        if w.is_empty() {
+    pub fn window_auc(&self) -> Option<f64> {
+        let len = self.count.min(self.ring.len());
+        if len == 0 {
             return None;
         }
-        let sum: f64 = w.iter().map(|s| clamped_inverse(s.value)).sum();
-        if w.len() == 1 {
+        let sum: f64 = self.latest_window().map(clamped_inverse).sum();
+        if len == 1 {
             Some(sum)
         } else {
-            Some(sum / (w.len() - 1) as f64)
+            Some(sum / (len - 1) as f64)
         }
     }
 }
@@ -153,55 +162,52 @@ impl AlgorithmHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::Configuration;
+    use crate::rng::Rng;
 
-    fn hist(values: &[f64]) -> AlgorithmHistory {
-        let mut h = AlgorithmHistory::new();
-        for (i, &v) in values.iter().enumerate() {
-            h.record(i, Configuration::empty(), v);
+    fn hist_w(window: usize, values: &[f64]) -> AlgorithmHistory {
+        let mut h = AlgorithmHistory::new(window);
+        for &v in values {
+            h.record(v);
         }
         h
+    }
+
+    fn hist(values: &[f64]) -> AlgorithmHistory {
+        hist_w(16, values)
     }
 
     #[test]
     fn best_tracks_minimum() {
         let h = hist(&[5.0, 3.0, 4.0, 3.5]);
         assert_eq!(h.best_value(), Some(3.0));
-        assert_eq!(h.best().unwrap().iteration, 1);
-    }
-
-    #[test]
-    fn best_prefers_earliest_on_tie() {
-        let h = hist(&[3.0, 3.0, 3.0]);
-        assert_eq!(h.best().unwrap().iteration, 0);
     }
 
     #[test]
     fn latest_window_clamps_to_available() {
-        let h = hist(&[1.0, 2.0, 3.0]);
-        assert_eq!(h.latest_window(16).len(), 3);
-        assert_eq!(h.latest_window(2).len(), 2);
-        assert_eq!(h.latest_window(2)[0].value, 2.0);
+        let values = [1.0, 2.0, 3.0];
+        assert_eq!(hist_w(16, &values).latest_window().count(), 3);
+        let w: Vec<f64> = hist_w(2, &values).latest_window().collect();
+        assert_eq!(w, [2.0, 3.0]);
     }
 
     #[test]
     fn gradient_positive_when_improving() {
         // Runtime falling 4 -> 2 means inverse performance rising: G > 0.
         let h = hist(&[4.0, 2.0]);
-        let g = h.window_gradient(16).unwrap();
+        let g = h.window_gradient().unwrap();
         assert!((g - (0.5 - 0.25)).abs() < 1e-12);
     }
 
     #[test]
     fn gradient_negative_when_degrading() {
         let h = hist(&[2.0, 4.0]);
-        assert!(h.window_gradient(16).unwrap() < 0.0);
+        assert!(h.window_gradient().unwrap() < 0.0);
     }
 
     #[test]
     fn gradient_zero_when_flat() {
         let h = hist(&[3.0, 3.0, 3.0, 3.0]);
-        assert_eq!(h.window_gradient(16), Some(0.0));
+        assert_eq!(h.window_gradient(), Some(0.0));
     }
 
     #[test]
@@ -209,33 +215,33 @@ mod tests {
         // Values inside the window do not matter, only the endpoints.
         let a = hist(&[4.0, 100.0, 2.0]);
         let b = hist(&[4.0, 0.001, 2.0]);
-        assert_eq!(a.window_gradient(16), b.window_gradient(16));
+        assert_eq!(a.window_gradient(), b.window_gradient());
     }
 
     #[test]
     fn gradient_undefined_for_single_sample() {
-        assert_eq!(hist(&[2.0]).window_gradient(16), None);
-        assert_eq!(hist(&[]).window_gradient(16), None);
+        assert_eq!(hist(&[2.0]).window_gradient(), None);
+        assert_eq!(hist(&[]).window_gradient(), None);
     }
 
     #[test]
     fn auc_matches_definition() {
         let h = hist(&[2.0, 4.0, 2.0]);
         // (1/2 + 1/4 + 1/2) / 2 = 0.625
-        assert!((h.window_auc(16).unwrap() - 0.625).abs() < 1e-12);
+        assert!((h.window_auc().unwrap() - 0.625).abs() < 1e-12);
     }
 
     #[test]
     fn auc_single_sample_is_inverse_value() {
         let h = hist(&[4.0]);
-        assert_eq!(h.window_auc(16), Some(0.25));
+        assert_eq!(h.window_auc(), Some(0.25));
     }
 
     #[test]
     fn auc_respects_window() {
-        let h = hist(&[1000.0, 2.0, 2.0]);
+        let h = hist_w(2, &[1000.0, 2.0, 2.0]);
         // Window of 2 drops the slow first sample: (1/2 + 1/2) / 1 = 1.0.
-        assert!((h.window_auc(2).unwrap() - 1.0).abs() < 1e-12);
+        assert!((h.window_auc().unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -250,9 +256,9 @@ mod tests {
         // The degenerate case that used to poison the 1/m weights: a 0.0 ms
         // sample from a fast kernel under a coarse timer.
         let h = hist(&[2.0, 0.0]);
-        let g = h.window_gradient(16).unwrap();
+        let g = h.window_gradient().unwrap();
         assert!(g.is_finite());
-        let auc = h.window_auc(16).unwrap();
+        let auc = h.window_auc().unwrap();
         assert!(auc.is_finite() && auc > 0.0);
     }
 
@@ -265,8 +271,8 @@ mod tests {
             &[-7.0, 3.0],
         ] {
             let h = hist(stream);
-            assert!(h.window_gradient(16).unwrap().is_finite(), "{stream:?}");
-            let auc = h.window_auc(16).unwrap();
+            assert!(h.window_gradient().unwrap().is_finite(), "{stream:?}");
+            let auc = h.window_auc().unwrap();
             assert!(auc.is_finite() && auc > 0.0, "{stream:?}");
             assert!(h.best_value().unwrap() >= RESOLUTION_FLOOR_MS);
         }
@@ -275,9 +281,52 @@ mod tests {
     #[test]
     fn record_clamps_into_representable_band() {
         let h = hist(&[0.0, 1e308, -4.0]);
-        assert_eq!(h.samples()[0].value, RESOLUTION_FLOOR_MS);
-        assert_eq!(h.samples()[1].value, MAX_MEASUREMENT_MS);
-        assert_eq!(h.samples()[2].value, RESOLUTION_FLOOR_MS);
+        let recorded: Vec<f64> = h.latest_window().collect();
+        assert_eq!(
+            recorded,
+            [RESOLUTION_FLOOR_MS, MAX_MEASUREMENT_MS, RESOLUTION_FLOOR_MS]
+        );
+        assert_eq!(h.last_value(), Some(RESOLUTION_FLOOR_MS));
+    }
+
+    #[test]
+    fn ring_matches_the_definition_over_the_full_stream() {
+        let mut rng = Rng::new(0x416);
+        let special = [0.0, 5e-324, 1e308, -2.5, 1e-7];
+        for window in [1, 2, 16, 64] {
+            let mut h = AlgorithmHistory::new(window);
+            let mut all = Vec::new();
+            // Five windows' worth, checked after every value: every fill
+            // level and every wrap position of the ring.
+            for i in 0..5 * window {
+                let v = if i % 3 == 0 {
+                    special[rng.pick_index(special.len())]
+                } else {
+                    rng.next_range_f64(0.001, 50.0)
+                };
+                h.record(v);
+                all.push(v.clamp(RESOLUTION_FLOOR_MS, MAX_MEASUREMENT_MS));
+                // The definitions, computed from the full stream.
+                let w = &all[all.len().saturating_sub(window)..];
+                let span = (w.len() - 1) as f64;
+                let gradient = (w.len() >= 2)
+                    .then(|| (clamped_inverse(w[w.len() - 1]) - clamped_inverse(w[0])) / span);
+                let sum: f64 = w.iter().map(|&v| clamped_inverse(v)).sum();
+                let auc = if w.len() == 1 { sum } else { sum / span };
+                let at = format!("window {window}, after {} values", all.len());
+                assert_eq!(h.len(), all.len(), "{at}");
+                assert_eq!(h.latest_window().collect::<Vec<_>>(), w, "{at}");
+                assert_eq!(h.window_gradient(), gradient, "{at}");
+                assert_eq!(h.window_auc(), Some(auc), "{at}");
+                assert_eq!(h.best_value(), all.iter().copied().reduce(f64::min), "{at}");
+                assert_eq!(
+                    h.worst_value(),
+                    all.iter().copied().reduce(f64::max),
+                    "{at}"
+                );
+                assert_eq!(h.last_value(), all.last().copied(), "{at}");
+            }
+        }
     }
 
     #[test]

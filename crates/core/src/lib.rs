@@ -23,11 +23,11 @@
 //!   (phase 1, Nelder-Mead by default). It is the one tuning-loop driver:
 //!   a single parameter space is tuned as one algorithm, whose phase 2 is
 //!   never consulted.
-//! * **Measurement plumbing** ([`measure`]).
-//! * **A fault-tolerant measurement pipeline** ([`robust`]): panics,
-//!   timeouts, and degenerate (NaN/infinite/zero) measurements become
+//! * **Measurement** ([`robust`]): the measurement-function trait and
+//!   timing, inside a fault-tolerant pipeline — panics, timeouts, and
+//!   degenerate (NaN/infinite/zero) measurements become
 //!   [`robust::MeasureOutcome`] values that the tuners absorb as penalties
-//!   instead of crashing — no algorithm is ever excluded outright.
+//!   instead of crashing, so no algorithm is ever excluded outright.
 //! * **A persistent work-stealing executor** ([`pool`]): the shared
 //!   execution substrate for every parallel kernel in the workspace, with
 //!   dispatch-time thread caps so parallelism stays a tunable ratio
@@ -66,7 +66,6 @@ pub mod context;
 pub mod drift;
 pub mod history;
 pub mod json;
-pub mod measure;
 pub mod mixed;
 pub mod nominal;
 pub mod param;
@@ -85,7 +84,6 @@ pub mod two_phase;
 pub mod prelude {
     pub use crate::context::{ContextGuard, ContextKey, ContextSites, ContextStats, KeyStats};
     pub use crate::drift::{DriftConfig, DriftMonitor, Verdict};
-    pub use crate::measure::{duration_ms, time_ms, Context, Measure, Sample};
     pub use crate::mixed::MixedTuner;
     pub use crate::nominal::{
         EpsilonGradient, EpsilonGreedy, GradientWeighted, NominalStrategy, OptimumWeighted,
@@ -95,8 +93,9 @@ pub mod prelude {
     pub use crate::pool::Pool;
     pub use crate::rng::Rng;
     pub use crate::robust::{
-        batched_time_ms, robust_call, robust_time, timer_resolution_ms, FallibleMeasure, FaultKind,
-        FaultPlan, FaultyMeasure, MeasureOutcome, RobustMeasure, RobustOptions,
+        batched_time_ms, duration_ms, robust_call, robust_time, time_ms, timer_resolution_ms,
+        FallibleMeasure, FaultKind, FaultPlan, FaultyMeasure, Measure, MeasureOutcome,
+        RobustMeasure, RobustOptions,
     };
     pub use crate::search::{
         DifferentialEvolution, ExhaustiveSearch, GeneticAlgorithm, HillClimbing, NelderMead,

@@ -16,14 +16,14 @@
 //! to uniform and the strategy behaves exactly like plain ε-Greedy.
 
 use crate::history::AlgorithmHistory;
-use crate::nominal::{fill_unseen_optimistic, GradientWeighted, NominalStrategy, SelectionState};
+use crate::nominal::gradient_weighted::gradient_weights_into;
+use crate::nominal::{NominalStrategy, SelectionState};
 
 /// ε-Greedy with gradient-weighted exploration.
 #[derive(Debug, Clone)]
 pub struct EpsilonGradient {
     state: SelectionState,
     epsilon: f64,
-    window: usize,
 }
 
 impl EpsilonGradient {
@@ -36,9 +36,8 @@ impl EpsilonGradient {
         );
         assert!(window >= 2, "gradient needs a window of at least 2");
         EpsilonGradient {
-            state: SelectionState::new(num_algorithms, seed),
+            state: SelectionState::new(num_algorithms, window, seed),
             epsilon,
-            window,
         }
     }
 
@@ -46,20 +45,8 @@ impl EpsilonGradient {
     /// current histories (neutral weight 2 for arms without a gradient).
     pub fn exploration_weights(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.num_algorithms()];
-        self.exploration_weights_into(&mut out);
+        gradient_weights_into(&self.state.histories, &mut out);
         out
-    }
-
-    fn exploration_weights_into(&self, out: &mut [f64]) {
-        let n = self.num_algorithms().min(out.len());
-        for (w, h) in out[..n].iter_mut().zip(&self.state.histories) {
-            *w = h
-                .window_gradient(self.window)
-                .map(GradientWeighted::weight_of_gradient)
-                .or(if h.is_empty() { None } else { Some(2.0) })
-                .unwrap_or(f64::NAN);
-        }
-        fill_unseen_optimistic(&mut out[..n]);
     }
 }
 
@@ -86,7 +73,7 @@ impl NominalStrategy for EpsilonGradient {
         if n == 0 {
             return;
         }
-        self.exploration_weights_into(&mut out[..n]);
+        gradient_weights_into(&self.state.histories, &mut out[..n]);
         let sum: f64 = out[..n].iter().sum();
         if sum > 0.0 {
             for w in &mut out[..n] {
@@ -104,7 +91,7 @@ impl NominalStrategy for EpsilonGradient {
     }
 
     fn report(&mut self, algorithm: usize, value: f64) {
-        self.state.record_windowed(algorithm, value, self.window);
+        self.state.record_windowed(algorithm, value);
     }
 
     fn best(&self) -> Option<usize> {
@@ -119,7 +106,7 @@ impl NominalStrategy for EpsilonGradient {
         format!(
             "e-gradient({}%,w={})",
             (self.epsilon * 100.0).round() as u32,
-            self.window
+            self.state.window()
         )
     }
 }

@@ -28,7 +28,6 @@ pub const DEFAULT_WINDOW: usize = 16;
 #[derive(Debug, Clone)]
 pub struct GradientWeighted {
     state: SelectionState,
-    window: usize,
 }
 
 impl GradientWeighted {
@@ -37,8 +36,7 @@ impl GradientWeighted {
     pub fn new(num_algorithms: usize, window: usize, seed: u64) -> Self {
         assert!(window >= 2, "gradient needs a window of at least 2");
         GradientWeighted {
-            state: SelectionState::new(num_algorithms, seed),
-            window,
+            state: SelectionState::new(num_algorithms, window, seed),
         }
     }
 
@@ -50,6 +48,21 @@ impl GradientWeighted {
             -1.0 / g
         }
     }
+}
+
+/// The Gradient-Weighted weights of `histories`, written into `out` as
+/// [`GradientWeighted::weights_into`] describes; also the exploration
+/// distribution of [`crate::nominal::EpsilonGradient`].
+pub(crate) fn gradient_weights_into(histories: &[AlgorithmHistory], out: &mut [f64]) {
+    let n = histories.len().min(out.len());
+    for (w, h) in out[..n].iter_mut().zip(histories) {
+        *w = h
+            .window_gradient()
+            .map(GradientWeighted::weight_of_gradient)
+            .or(if h.is_empty() { None } else { Some(2.0) })
+            .unwrap_or(f64::NAN);
+    }
+    fill_unseen_optimistic(&mut out[..n]);
 }
 
 impl NominalStrategy for GradientWeighted {
@@ -67,19 +80,11 @@ impl NominalStrategy for GradientWeighted {
     /// (weight 2), which matches the "no special initialization" behaviour
     /// of the paper's non-greedy strategies.
     fn weights_into(&self, out: &mut [f64]) {
-        let n = self.num_algorithms().min(out.len());
-        for (w, h) in out[..n].iter_mut().zip(&self.state.histories) {
-            *w = h
-                .window_gradient(self.window)
-                .map(Self::weight_of_gradient)
-                .or(if h.is_empty() { None } else { Some(2.0) })
-                .unwrap_or(f64::NAN);
-        }
-        fill_unseen_optimistic(&mut out[..n]);
+        gradient_weights_into(&self.state.histories, out);
     }
 
     fn report(&mut self, algorithm: usize, value: f64) {
-        self.state.record_windowed(algorithm, value, self.window);
+        self.state.record_windowed(algorithm, value);
     }
 
     fn best(&self) -> Option<usize> {
@@ -91,7 +96,7 @@ impl NominalStrategy for GradientWeighted {
     }
 
     fn name(&self) -> String {
-        format!("gradient-weighted(w={})", self.window)
+        format!("gradient-weighted(w={})", self.state.window())
     }
 }
 

@@ -95,32 +95,36 @@ pub trait NominalStrategy: Send {
     /// runtime), or `None` before any sample.
     fn best(&self) -> Option<usize>;
 
-    /// Per-algorithm sample histories (for analysis and plots).
+    /// Per-algorithm histories: each keeps the latest window of values
+    /// the strategy's weights read, plus best, worst and count.
     fn histories(&self) -> &[AlgorithmHistory];
 
     /// Display name, including parameterization (e.g. `e-greedy(10%)`).
     fn name(&self) -> String;
 }
 
-/// Shared bookkeeping for the strategy implementations: histories plus an
-/// iteration counter.
+/// Shared bookkeeping for the strategy implementations: one history per
+/// algorithm, each holding the latest `window` values its weights read.
 #[derive(Debug, Clone)]
 pub(crate) struct SelectionState {
     pub histories: Vec<AlgorithmHistory>,
-    pub iteration: usize,
     pub rng: Rng,
 }
 
 impl SelectionState {
-    pub fn new(num_algorithms: usize, seed: u64) -> Self {
+    pub fn new(num_algorithms: usize, window: usize, seed: u64) -> Self {
         assert!(num_algorithms > 0, "need at least one algorithm");
         SelectionState {
             histories: (0..num_algorithms)
-                .map(|_| AlgorithmHistory::new())
+                .map(|_| AlgorithmHistory::new(window))
                 .collect(),
-            iteration: 0,
             rng: Rng::new(seed),
         }
+    }
+
+    /// The window every algorithm's history holds.
+    pub fn window(&self) -> usize {
+        self.histories[0].window()
     }
 
     pub fn record(&mut self, algorithm: usize, value: f64) {
@@ -132,12 +136,7 @@ impl SelectionState {
         } else {
             crate::robust::failure_penalty(&self.histories)
         };
-        self.histories[algorithm].record(
-            self.iteration,
-            crate::space::Configuration::empty(),
-            value,
-        );
-        self.iteration += 1;
+        self.histories[algorithm].record(value);
     }
 
     /// Index of the algorithm with the lowest best observed runtime.
@@ -157,12 +156,12 @@ impl SelectionState {
     }
 
     /// Like [`record`](Self::record), for strategies whose weights look at
-    /// a sliding window of `window` samples: additionally emits a
+    /// a sliding window of samples: additionally emits a
     /// [`telemetry`](crate::telemetry) eviction event when the new sample
-    /// pushes the oldest one out of the algorithm's logical window.
-    pub fn record_windowed(&mut self, algorithm: usize, value: f64, window: usize) {
+    /// pushes the oldest one out of the algorithm's window.
+    pub fn record_windowed(&mut self, algorithm: usize, value: f64) {
         self.record(algorithm, value);
-        let len = self.histories[algorithm].len();
+        let (len, window) = (self.histories[algorithm].len(), self.window());
         if len > window {
             crate::telemetry::emit(|| crate::telemetry::EventKind::WindowEvicted {
                 algorithm: algorithm as u16,
@@ -237,7 +236,7 @@ mod tests {
 
     #[test]
     fn selection_state_tracks_best_and_unseen() {
-        let mut s = SelectionState::new(3, 0);
+        let mut s = SelectionState::new(3, 1, 0);
         assert_eq!(s.first_unseen(), Some(0));
         assert_eq!(s.best(), None);
         s.record(1, 5.0);
@@ -253,12 +252,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_algorithms_rejected() {
-        SelectionState::new(0, 0);
+        SelectionState::new(0, 1, 0);
     }
 
     #[test]
     fn non_finite_reports_become_penalties() {
-        let mut s = SelectionState::new(2, 0);
+        let mut s = SelectionState::new(2, 1, 0);
         s.record(0, 10.0);
         s.record(1, f64::NAN);
         let v = s.histories[1].last_value().unwrap();

@@ -23,7 +23,7 @@ impl OptimumWeighted {
     /// A new strategy over `num_algorithms` alternatives.
     pub fn new(num_algorithms: usize, seed: u64) -> Self {
         OptimumWeighted {
-            state: SelectionState::new(num_algorithms, seed),
+            state: SelectionState::new(num_algorithms, 1, seed),
         }
     }
 }

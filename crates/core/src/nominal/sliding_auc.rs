@@ -23,17 +23,14 @@ pub const DEFAULT_WINDOW: usize = 16;
 #[derive(Debug, Clone)]
 pub struct SlidingWindowAuc {
     state: SelectionState,
-    window: usize,
 }
 
 impl SlidingWindowAuc {
     /// `window`: how many of each algorithm's latest samples contribute to
     /// its AUC weight (the paper uses 16).
     pub fn new(num_algorithms: usize, window: usize, seed: u64) -> Self {
-        assert!(window >= 1, "window must be positive");
         SlidingWindowAuc {
-            state: SelectionState::new(num_algorithms, seed),
-            window,
+            state: SelectionState::new(num_algorithms, window, seed),
         }
     }
 }
@@ -51,13 +48,13 @@ impl NominalStrategy for SlidingWindowAuc {
     fn weights_into(&self, out: &mut [f64]) {
         let n = self.num_algorithms().min(out.len());
         for (w, h) in out[..n].iter_mut().zip(&self.state.histories) {
-            *w = h.window_auc(self.window).unwrap_or(f64::NAN);
+            *w = h.window_auc().unwrap_or(f64::NAN);
         }
         fill_unseen_optimistic(&mut out[..n]);
     }
 
     fn report(&mut self, algorithm: usize, value: f64) {
-        self.state.record_windowed(algorithm, value, self.window);
+        self.state.record_windowed(algorithm, value);
     }
 
     fn best(&self) -> Option<usize> {
@@ -69,7 +66,7 @@ impl NominalStrategy for SlidingWindowAuc {
     }
 
     fn name(&self) -> String {
-        format!("sliding-window-auc(w={})", self.window)
+        format!("sliding-window-auc(w={})", self.state.window())
     }
 }
 

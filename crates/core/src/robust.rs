@@ -9,6 +9,8 @@
 //! failed configurations dominate real tuning spaces and need first-class
 //! handling. This module provides it:
 //!
+//! * [`Measure`] — the measurement function `m` a tuner minimizes — and
+//!   [`time_ms`] / [`duration_ms`], wall-clock timing in the paper's unit.
 //! * [`MeasureOutcome`] — the three-valued result of one measurement
 //!   attempt: `Ok(value)`, `Failed(reason)` or `TimedOut`.
 //! * [`RobustOptions`] / [`robust_call`] — run a measurement closure under a
@@ -39,7 +41,6 @@
 //! failing algorithm is strongly deprioritized but keeps a strictly
 //! positive selection probability and can recover.
 
-use crate::measure::Measure;
 use crate::rng::Rng;
 use crate::space::Configuration;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -73,6 +74,36 @@ pub const DEFAULT_FAILURE_PENALTY_MS: f64 = 1e3;
 #[inline]
 pub fn clamp_measurement(value: f64) -> f64 {
     value.clamp(RESOLUTION_FLOOR_MS, MAX_MEASUREMENT_MS)
+}
+
+/// A measurement function `m_K : T → ℝ`: the paper minimizes it over the
+/// configurations `T` for a fixed context `K` (application and system).
+/// Implemented by the application being tuned, or by a synthetic cost
+/// model in tests.
+pub trait Measure {
+    /// Evaluate one configuration and return its measured value. Lower is
+    /// better. The value must be finite; strategies treat non-finite values
+    /// as a contract violation.
+    fn measure(&mut self, config: &Configuration) -> f64;
+}
+
+impl<F: FnMut(&Configuration) -> f64> Measure for F {
+    fn measure(&mut self, config: &Configuration) -> f64 {
+        self(config)
+    }
+}
+
+/// Run a closure and return its wall-clock duration in milliseconds — the
+/// unit used throughout the paper's figures.
+pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = f();
+    (out, duration_ms(start.elapsed()))
+}
+
+/// Convert a [`Duration`] to fractional milliseconds.
+pub fn duration_ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 /// Target span of one batched measurement, in ticks of the measured timer
@@ -589,6 +620,39 @@ mod tests {
     }
 
     #[test]
+    fn closure_is_a_measure() {
+        let mut calls = 0usize;
+        {
+            let mut m = |_c: &Configuration| {
+                calls += 1;
+                1.5
+            };
+            assert_eq!(m.measure(&cfg()), 1.5);
+            assert_eq!(m.measure(&cfg()), 1.5);
+        }
+        assert_eq!(calls, 2);
+    }
+
+    #[test]
+    fn time_ms_is_nonnegative_and_returns_value() {
+        let (v, ms) = time_ms(|| 7);
+        assert_eq!(v, 7);
+        assert!(ms >= 0.0);
+    }
+
+    #[test]
+    fn time_ms_measures_sleep() {
+        let (_, ms) = time_ms(|| std::thread::sleep(Duration::from_millis(20)));
+        assert!(ms >= 15.0, "expected >= 15ms, got {ms}");
+    }
+
+    #[test]
+    fn duration_conversion() {
+        assert_eq!(duration_ms(Duration::from_millis(250)), 250.0);
+        assert!((duration_ms(Duration::from_micros(1500)) - 1.5).abs() < 1e-9);
+    }
+
+    #[test]
     fn from_value_classifies() {
         assert_eq!(MeasureOutcome::from_value(2.5), MeasureOutcome::Ok(2.5));
         assert_eq!(
@@ -794,16 +858,16 @@ mod tests {
 
     #[test]
     fn failure_penalty_scales_worst_observed() {
-        let mut h = crate::history::AlgorithmHistory::new();
-        h.record(0, cfg(), 10.0);
-        h.record(1, cfg(), 25.0);
-        let hs = [h, crate::history::AlgorithmHistory::new()];
+        let mut h = crate::history::AlgorithmHistory::new(1);
+        h.record(10.0);
+        h.record(25.0);
+        let hs = [h, crate::history::AlgorithmHistory::new(1)];
         assert_eq!(failure_penalty(&hs), 100.0);
     }
 
     #[test]
     fn failure_penalty_default_without_samples() {
-        let hs = [crate::history::AlgorithmHistory::new()];
+        let hs = [crate::history::AlgorithmHistory::new(1)];
         assert_eq!(failure_penalty(&hs), DEFAULT_FAILURE_PENALTY_MS);
     }
 

@@ -160,7 +160,7 @@ pub(crate) fn reject_nominal(space: &SearchSpace, strategy: &str) {
 /// return the per-iteration measured values. This is the offline-style
 /// driver used by tests and benchmarks; online applications embed the
 /// ask/tell calls in their own loop instead.
-pub fn run_loop<S: Searcher, M: crate::measure::Measure>(
+pub fn run_loop<S: Searcher, M: crate::robust::Measure>(
     searcher: &mut S,
     measure: &mut M,
     iterations: usize,

@@ -131,15 +131,15 @@
 //! the global metric registers count tuned-path outcomes only.
 //!
 //! Single-threaded use drives the embedded tuner exactly as a direct
-//! caller would: the claim CAS always succeeds, so the tuned calls'
-//! sample log is *bit-identical* to a direct tuner's with the same seeds
-//! and measurements, and every backed-off call runs the direct tuner's
+//! caller would: the claim CAS always succeeds, so the tuned calls run
+//! the *bit-identical* (algorithm, configuration) sequence a direct tuner
+//! proposes under the same seeds and measurements, both tuners end in
+//! the same state, and every backed-off call runs the direct tuner's
 //! exploit choice at that point — property-tested in
 //! `tests/site_runtime.rs`.
 
-use crate::measure::duration_ms;
 use crate::param::Value;
-use crate::robust::{clock_pair_ms, MeasureOutcome};
+use crate::robust::{clock_pair_ms, duration_ms, MeasureOutcome};
 use crate::space::{Configuration, Constraint, SearchSpace};
 use crate::telemetry::metrics::{bucket_index, bucket_quantile, HIST_BUCKETS};
 use crate::telemetry::{self, EventKind, MeasureStatus};
@@ -1268,10 +1268,7 @@ mod tests {
         assert_eq!(s.calls(), 300 + s.backed_off());
         // The cheap algorithm wins on wall time (index 1 only by cost
         // model; here all bodies are ~equal, so just check the protocol).
-        s.with_tuner(|t| {
-            let tp = t.as_two_phase().unwrap();
-            assert_eq!(tp.log().len(), 300);
-        });
+        s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().iterations(), 300));
     }
 
     #[test]
@@ -1479,14 +1476,14 @@ mod tests {
         while s.tuned_iterations() < 40 {
             s.tuned(|_, _| {});
         }
-        s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().log().len(), 40));
+        s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().iterations(), 40));
         let calls = s.calls();
         assert_eq!(calls, 40 + s.backed_off());
         assert_eq!(s.restarts(), 0);
         s.restart();
         assert_eq!(s.restarts(), 1);
         // Learned state is gone; traffic counters are not.
-        s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().log().len(), 0));
+        s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().iterations(), 0));
         assert_eq!(s.calls(), calls);
         // The published decision is still valid, and the rebuilt tuner
         // tunes the very next call.
@@ -1495,7 +1492,7 @@ mod tests {
         let g = s.pre();
         assert!(g.is_tuning(), "a restart returns the site to full rate");
         g.post();
-        s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().log().len(), 1));
+        s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().iterations(), 1));
     }
 
     #[test]

@@ -176,7 +176,6 @@ pub struct TwoPhaseTuner {
     /// their `report()`.
     pending: Option<(usize, Configuration)>,
     best: Option<(usize, Configuration, f64)>,
-    log: Vec<TwoPhaseSample>,
     /// Per-algorithm count of failed measurements.
     failures: Vec<usize>,
 }
@@ -228,7 +227,6 @@ impl TwoPhaseTuner {
             iteration: 0,
             pending: None,
             best: None,
-            log: Vec::new(),
             failures,
         }
     }
@@ -332,7 +330,6 @@ impl TwoPhaseTuner {
             failed: false,
         };
         self.iteration += 1;
-        self.log.push(sample.clone());
         sample
     }
 
@@ -372,7 +369,6 @@ impl TwoPhaseTuner {
             failed: true,
         };
         self.iteration += 1;
-        self.log.push(sample.clone());
         sample
     }
 
@@ -447,7 +443,8 @@ impl TwoPhaseTuner {
     /// The sample enters the strategy's per-algorithm history (so the
     /// algorithm counts as "seen", carries a selection weight, and the
     /// initial round-robin exploration of unseen algorithms is skipped),
-    /// but **not** the iteration log: seeded knowledge is prior belief,
+    /// but it is **not** a tuning iteration
+    /// ([`TwoPhaseTuner::iterations`]): seeded knowledge is prior belief,
     /// not a measurement of this context. Non-finite values are ignored.
     ///
     /// Panics if called between [`TwoPhaseTuner::next`] and its report —
@@ -503,9 +500,12 @@ impl TwoPhaseTuner {
         self.strategy.best()
     }
 
-    /// Full iteration log (for convergence plots).
-    pub fn log(&self) -> &[TwoPhaseSample] {
-        &self.log
+    /// Tuning iterations completed so far (measured or penalized) — the
+    /// `iteration` the next [`TwoPhaseSample`] will carry. The tuner keeps
+    /// no log of them: a caller that plots convergence keeps the samples
+    /// [`TwoPhaseTuner::report`] and [`TwoPhaseTuner::step`] return.
+    pub fn iterations(&self) -> usize {
+        self.iteration
     }
 
     /// Per-algorithm histories from the phase-2 strategy.
@@ -617,15 +617,19 @@ mod tests {
         // Weighted strategies "achieve tuning progress on all algorithms
         // more or less simultaneously" (Section IV-B).
         let mut t = TwoPhaseTuner::new(tunable_specs(), NominalKind::SlidingWindowAuc(16), 7);
+        let mut first = [None; 2];
         for _ in 0..600 {
-            t.step(tunable_costs);
+            let s = t.step(tunable_costs);
+            first[s.algorithm].get_or_insert(s.value);
         }
         let hists = t.histories();
         for (i, h) in hists.iter().enumerate() {
             assert!(h.len() > 100, "algorithm {i} starved: {} samples", h.len());
             let best = h.best_value().unwrap();
-            let first = h.samples()[0].value;
-            assert!(best < first, "algorithm {i} made no tuning progress");
+            assert!(
+                best < first[i].unwrap(),
+                "algorithm {i} made no tuning progress"
+            );
         }
     }
 
@@ -657,17 +661,15 @@ mod tests {
     }
 
     #[test]
-    fn log_records_every_iteration_in_order() {
+    fn samples_number_every_iteration_in_order() {
         let mut t = TwoPhaseTuner::new(untunable_specs(), NominalKind::OptimumWeighted, 13);
-        for _ in 0..50 {
-            t.step(fixed_costs);
-        }
-        let log = t.log();
-        assert_eq!(log.len(), 50);
-        for (i, s) in log.iter().enumerate() {
+        for i in 0..50 {
+            assert_eq!(t.iterations(), i);
+            let s = t.step(fixed_costs);
             assert_eq!(s.iteration, i);
             assert!(s.algorithm < 3);
         }
+        assert_eq!(t.iterations(), 50);
     }
 
     #[test]
@@ -753,7 +755,7 @@ mod tests {
                 _ => MeasureOutcome::Ok(tunable_costs(alg, c)),
             });
         }
-        assert_eq!(t.log().len(), 400);
+        assert_eq!(t.iterations(), 400);
         assert!(t.failure_counts().iter().sum::<usize>() > 40);
         assert!(t.best().is_some());
     }

@@ -245,5 +245,5 @@ fn one_algorithm_tuner_runs_exactly_its_phase1_searcher() {
             "iteration {i}"
         );
     }
-    assert_eq!(tuner.log().len(), 200);
+    assert_eq!(tuner.iterations(), 200);
 }

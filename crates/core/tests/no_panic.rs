@@ -116,7 +116,7 @@ fn two_phase_survives_ten_percent_faults_and_converges() {
             counts[sample.algorithm] += 1;
         }
         let name = tuner.strategy_name();
-        assert_eq!(tuner.log().len(), ITERS, "{name}: loop must complete");
+        assert_eq!(tuner.iterations(), ITERS, "{name}: loop must complete");
         let injected: usize = tuner.failure_counts().iter().sum();
         assert!(injected > 20, "{name}: expected ~50 faults, got {injected}");
         assert_eq!(
@@ -219,7 +219,7 @@ fn nelder_mead_survives_nan_breeding_measurements() {
     for _ in 0..300 {
         t.step(|_, c| m(c));
     }
-    assert_eq!(t.log().len(), 300, "loop must complete without panicking");
+    assert_eq!(t.iterations(), 300, "loop must complete without panicking");
 }
 
 /// Abandoning a proposal mid-flight (measurement never ran at all) must be

@@ -252,7 +252,7 @@ pub fn deployment_modes(
     reps: usize,
     seed: u64,
 ) -> SeriesFigure {
-    use autotune::measure::time_ms;
+    use autotune::robust::time_ms;
     use stringmatch::{all_matchers, Hybrid, Matcher};
 
     let text = stringmatch::corpus::bible_like_with(seed, corpus_bytes, 20_000);

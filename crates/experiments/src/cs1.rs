@@ -7,7 +7,7 @@
 //! their own, so every algorithm's phase-1 space is empty.
 
 use crate::report::{BoxFigure, Boxed, GroupedBoxFigure, SeriesFigure};
-use autotune::measure::time_ms;
+use autotune::robust::time_ms;
 use autotune::robust::{MeasureOutcome, RobustOptions};
 use autotune::stats::{self, FiveNumber};
 use autotune::two_phase::{AlgorithmSpec, NominalKind, TwoPhaseTuner};

@@ -497,7 +497,7 @@ fn site_json(name: &str, s: Site) -> Json {
             "exploit_algorithm",
             Json::Str(tp.algorithm_name(exploit).into()),
         ));
-        pairs.push(("log_len", Json::Num(tp.log().len() as f64)));
+        pairs.push(("tuner_iterations", Json::Num(tp.iterations() as f64)));
         pairs.push((
             "selection_counts",
             Json::Arr(

@@ -420,7 +420,7 @@ mod tests {
         }
         assert_eq!(site.calls(), 4);
         site.with_tuner(|t| {
-            assert_eq!(t.as_two_phase().unwrap().log().len(), 4);
+            assert_eq!(t.as_two_phase().unwrap().iterations(), 4);
         });
     }
 

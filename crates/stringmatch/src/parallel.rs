@@ -14,8 +14,8 @@
 //! autotuner treats it as a ratio-class tuning parameter: it caps how many
 //! workers participate in this one dispatch.
 
-use autotune::measure::time_ms;
 use autotune::pool::Pool;
+use autotune::robust::time_ms;
 use autotune::robust::{robust_call, MeasureOutcome, RobustOptions};
 use std::cell::Cell;
 

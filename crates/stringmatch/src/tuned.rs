@@ -138,7 +138,7 @@ mod tests {
         }
         assert_eq!(site.calls(), 12);
         site.with_tuner(|t| {
-            assert_eq!(t.as_two_phase().unwrap().log().len(), 12);
+            assert_eq!(t.as_two_phase().unwrap().iterations(), 12);
         });
     }
 

@@ -19,7 +19,11 @@ use algochoice::autotune::two_phase::Phase1Kind;
 
 /// UCB1 over *inverse* runtimes (reward = 1/ms, scaled into [0, 1]).
 struct Ucb1 {
+    /// Per arm: best and worst runtime, read by `best()` and by the
+    /// failure penalty.
     histories: Vec<AlgorithmHistory>,
+    /// Per arm: sum of rewards and number of plays, for the mean.
+    rewards: Vec<(f64, usize)>,
     iteration: usize,
     reward_scale: f64,
 }
@@ -28,21 +32,17 @@ impl Ucb1 {
     fn new(num_algorithms: usize, reward_scale: f64) -> Self {
         Ucb1 {
             histories: (0..num_algorithms)
-                .map(|_| AlgorithmHistory::new())
+                .map(|_| AlgorithmHistory::new(1))
                 .collect(),
+            rewards: vec![(0.0, 0); num_algorithms],
             iteration: 0,
             reward_scale,
         }
     }
 
     fn mean_reward(&self, a: usize) -> f64 {
-        let h = &self.histories[a];
-        let sum: f64 = h
-            .samples()
-            .iter()
-            .map(|s| self.reward_scale / s.value)
-            .sum();
-        sum / h.len() as f64
+        let (sum, plays) = self.rewards[a];
+        sum / plays as f64
     }
 }
 
@@ -53,13 +53,13 @@ impl NominalStrategy for Ucb1 {
 
     fn select(&mut self) -> usize {
         // Play every arm once, then maximize mean reward + exploration bonus.
-        if let Some(unseen) = self.histories.iter().position(|h| h.is_empty()) {
+        if let Some(unseen) = self.rewards.iter().position(|&(_, plays)| plays == 0) {
             return unseen;
         }
         let t = (self.iteration.max(1)) as f64;
         (0..self.num_algorithms())
             .map(|a| {
-                let bonus = (2.0 * t.ln() / self.histories[a].len() as f64).sqrt();
+                let bonus = (2.0 * t.ln() / self.rewards[a].1 as f64).sqrt();
                 (a, self.mean_reward(a) + bonus)
             })
             .max_by(|x, y| x.1.partial_cmp(&y.1).expect("finite"))
@@ -68,7 +68,12 @@ impl NominalStrategy for Ucb1 {
     }
 
     fn report(&mut self, algorithm: usize, value: f64) {
-        self.histories[algorithm].record(self.iteration, Configuration::empty(), value);
+        let h = &mut self.histories[algorithm];
+        h.record(value);
+        // Reward the recorded value: the history clamps degenerate runtimes.
+        let (sum, plays) = &mut self.rewards[algorithm];
+        *sum += self.reward_scale / h.last_value().expect("just recorded");
+        *plays += 1;
         self.iteration += 1;
     }
 

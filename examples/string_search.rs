@@ -10,8 +10,8 @@
 //! matcher's pattern precomputation); the only tunable is *which* of the
 //! eight algorithms to run.
 
-use algochoice::autotune::measure::time_ms;
 use algochoice::autotune::prelude::*;
+use algochoice::autotune::robust::time_ms;
 use algochoice::stringmatch::{all_matchers, corpus, ParallelMatcher, PAPER_QUERY};
 
 fn main() {

@@ -1,8 +1,8 @@
 //! Integration: the full case-study-1 stack — autotuner over the real
 //! parallel string matchers on a generated corpus.
 
-use algochoice::autotune::measure::time_ms;
 use algochoice::autotune::prelude::*;
+use algochoice::autotune::robust::time_ms;
 use algochoice::stringmatch::{all_matchers, corpus, naive, ParallelMatcher, PAPER_QUERY};
 
 fn small_corpus() -> Vec<u8> {

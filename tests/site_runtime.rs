@@ -3,16 +3,17 @@
 //!
 //! 1. **Single-thread equivalence** — a site driven from one thread is
 //!    *bit-identical* to driving the underlying tuner directly with the
-//!    same seeds: every claim CAS succeeds, the tuned calls' sample log
-//!    equals the direct tuner's, and every call the tuning-rate controller
-//!    backs off runs the direct tuner's exploit choice at that point. Both
-//!    a multi-algorithm site and a single-space (one-algorithm) site are
-//!    checked sample-by-sample.
+//!    same seeds: every claim CAS succeeds, every tuned call runs and
+//!    reports the (algorithm, configuration, value) the direct tuner's
+//!    sample of that iteration holds, both tuners end in the same state,
+//!    and every call the tuning-rate controller backs off runs the direct
+//!    tuner's exploit choice at that point. Both a multi-algorithm site
+//!    and a single-space (one-algorithm) site are checked sample-by-sample.
 //! 2. **Multi-thread stress** — counters never lose updates, every
 //!    completed call is exactly one of a tuned iteration, a contended
-//!    exploit call or a backed-off call, and the tuner's log length equals
-//!    the tuned-iteration count exactly (the claim discipline keeps the
-//!    ask/tell protocol serialized).
+//!    exploit call or a backed-off call, and the tuner's iteration count
+//!    equals the tuned-iteration count exactly (the claim discipline keeps
+//!    the ask/tell protocol serialized).
 //! 3. **Seqlock validity under fire** — concurrent exploit readers only
 //!    ever observe configurations inside the search space while a writer
 //!    publishes continuously.
@@ -58,28 +59,54 @@ fn cost(algorithm: usize, config: &Configuration) -> f64 {
     base + shape
 }
 
-/// Drive `s` single-threaded with deterministic costs until its tuner has
-/// logged `iters` samples. `exploits[k]` is the direct tuner's exploit
-/// choice after `k` samples: every call that does not tune must run
-/// exactly that. Checks the count identities and returns the number of
-/// backed-off calls.
-fn drive_until_logged(
+/// One tuning iteration as its caller saw it: the algorithm and
+/// configuration that ran, and the value reported.
+type Tuned = (usize, Configuration, f64);
+
+/// Drive `direct` for `iters` iterations with deterministic costs.
+/// Returns every iteration's sample as [`Tuned`], and the exploit choice
+/// after each number of iterations, `0..=iters`.
+fn drive_direct(
+    direct: &mut TwoPhaseTuner,
+    iters: usize,
+    cost: impl Fn(usize, &Configuration) -> f64,
+) -> (Vec<Tuned>, Vec<(usize, Configuration)>) {
+    let mut tuned = Vec::with_capacity(iters);
+    let mut exploits = vec![direct.exploit_choice()];
+    for _ in 0..iters {
+        let (alg, config) = direct.next();
+        let v = cost(alg, &config);
+        let sample = direct.report_outcome(MeasureOutcome::Ok(v));
+        assert_eq!(sample.iteration, tuned.len());
+        tuned.push((sample.algorithm, sample.config, sample.value));
+        exploits.push(direct.exploit_choice());
+    }
+    (tuned, exploits)
+}
+
+/// Drive `s` single-threaded with deterministic costs until it has run
+/// `iters` tuning iterations. `exploits[k]` is the direct tuner's exploit
+/// choice after `k` iterations: every call that does not tune must run
+/// exactly that. Checks the count identities; returns every tuned call
+/// and the number of backed-off calls.
+fn drive_until_tuned(
     s: Site,
     iters: usize,
     exploits: &[(usize, Configuration)],
     cost: impl Fn(usize, &Configuration) -> f64,
-) -> u64 {
-    let mut tuned = 0;
-    while tuned < iters {
+) -> (Vec<Tuned>, u64) {
+    let mut tuned = Vec::with_capacity(iters);
+    while tuned.len() < iters {
         let guard = s.pre();
         let v = cost(guard.algorithm(), guard.config());
         if guard.is_tuning() {
-            tuned += 1;
+            tuned.push((guard.algorithm(), guard.config().clone(), v));
         } else {
+            let k = tuned.len();
             assert_eq!(
                 (guard.algorithm(), guard.config()),
-                (exploits[tuned].0, &exploits[tuned].1),
-                "a backed-off call after {tuned} samples must run the direct exploit choice"
+                (exploits[k].0, &exploits[k].1),
+                "a backed-off call after {k} iterations must run the direct exploit choice"
             );
         }
         guard.post_outcome(MeasureOutcome::Ok(v));
@@ -90,7 +117,18 @@ fn drive_until_logged(
         s.calls(),
         s.tuned_iterations() + s.contended() + s.backed_off()
     );
-    s.backed_off()
+    (tuned, s.backed_off())
+}
+
+/// The site's tuner ends in the direct tuner's state.
+fn assert_same_state(s: Site, direct: &TwoPhaseTuner) {
+    s.with_tuner(|t| {
+        let t = t.as_two_phase().unwrap();
+        assert_eq!(t.histories(), direct.histories());
+        assert_eq!(t.best(), direct.best());
+        assert_eq!(t.exploit_choice(), direct.exploit_choice());
+        assert_eq!(t.iterations(), direct.iterations());
+    });
 }
 
 #[test]
@@ -104,13 +142,7 @@ fn single_thread_two_phase_equivalence() {
         Phase1Kind::NelderMead,
         SEED,
     );
-    let mut exploits = vec![direct.exploit_choice()];
-    for _ in 0..ITERS {
-        let (alg, config) = direct.next();
-        let v = cost(alg, &config);
-        direct.report_outcome(MeasureOutcome::Ok(v));
-        exploits.push(direct.exploit_choice());
-    }
+    let (direct_tuned, exploits) = drive_direct(&mut direct, ITERS, cost);
 
     let s = site(register(SiteSpec::algorithms(
         "equiv-two-phase",
@@ -118,18 +150,13 @@ fn single_thread_two_phase_equivalence() {
         NominalKind::EpsilonGreedy(0.10),
         SEED,
     )));
-    let backed_off = drive_until_logged(s, ITERS, &exploits, cost);
+    let (site_tuned, backed_off) = drive_until_tuned(s, ITERS, &exploits, cost);
     assert!(backed_off > 0, "the plateaued site must back off");
-
-    s.with_tuner(|t| {
-        let site_log = t.as_two_phase().unwrap().log();
-        assert_eq!(site_log.len(), ITERS);
-        assert_eq!(
-            site_log,
-            direct.log(),
-            "site dispatch must be bit-identical to the direct tuner"
-        );
-    });
+    assert_eq!(
+        site_tuned, direct_tuned,
+        "site dispatch must be bit-identical to the direct tuner"
+    );
+    assert_same_state(s, &direct);
 }
 
 #[test]
@@ -144,26 +171,16 @@ fn single_thread_single_space_equivalence() {
     // A single-space site is a one-algorithm tuner named after the site.
     let specs = vec![AlgorithmSpec::new("equiv-space", space.clone())];
     let mut direct = TwoPhaseTuner::new(specs, NominalKind::OptimumWeighted, SEED);
-    let mut exploits = vec![direct.exploit_choice()];
-    for _ in 0..ITERS {
-        let (_, config) = direct.next();
-        let v = cost(1, &config);
-        direct.report_outcome(MeasureOutcome::Ok(v));
-        exploits.push(direct.exploit_choice());
-    }
+    let (direct_tuned, exploits) = drive_direct(&mut direct, ITERS, |_, config| cost(1, config));
 
     let s = site(register(SiteSpec::space("equiv-space", space, SEED)));
-    let backed_off = drive_until_logged(s, ITERS, &exploits, |algorithm, config| {
+    let (site_tuned, backed_off) = drive_until_tuned(s, ITERS, &exploits, |algorithm, config| {
         assert_eq!(algorithm, 0, "single-space sites have one arm");
         cost(1, config)
     });
     assert!(backed_off > 0, "the plateaued site must back off");
-
-    s.with_tuner(|t| {
-        let site_log = t.as_two_phase().unwrap().log();
-        assert_eq!(site_log.len(), ITERS);
-        assert_eq!(site_log, direct.log());
-    });
+    assert_eq!(site_tuned, direct_tuned);
+    assert_same_state(s, &direct);
 }
 
 #[test]
@@ -218,9 +235,9 @@ fn stress_no_lost_updates_across_eight_threads() {
         assert!(tuned > 0, "site {i}: at least one tuning iteration ran");
         s.with_tuner(|t| {
             assert_eq!(
-                t.as_two_phase().unwrap().log().len() as u64,
+                t.as_two_phase().unwrap().iterations() as u64,
                 tuned,
-                "site {i}: tuner log must match the tuned-iteration count"
+                "site {i}: tuner iterations must match the tuned-iteration count"
             );
         });
     }
@@ -323,23 +340,20 @@ fn call_with(s: Site, value: f64) -> bool {
     tuned
 }
 
-/// The tuner log values of a fresh single-space site fed `outcomes`, one
-/// tuned call each.
-fn logged_values(name: &str, outcomes: Vec<MeasureOutcome>) -> Vec<f64> {
+/// The values a fresh single-space site's tuner records when fed
+/// `outcomes`, one tuned call each.
+fn recorded_values(name: &str, outcomes: Vec<MeasureOutcome>) -> Vec<f64> {
     let s = one_dim_site(name, 0xFA1);
-    for outcome in outcomes {
-        let guard = s.pre();
-        assert!(guard.is_tuning());
-        guard.post_outcome(outcome);
-    }
-    s.with_tuner(|t| {
-        t.as_two_phase()
-            .unwrap()
-            .log()
-            .iter()
-            .map(|x| x.value)
-            .collect()
-    })
+    outcomes
+        .into_iter()
+        .map(|outcome| {
+            let guard = s.pre();
+            assert!(guard.is_tuning());
+            guard.post_outcome(outcome);
+            s.with_tuner(|t| t.as_two_phase().unwrap().histories()[0].last_value())
+                .expect("a tuned call records a value")
+        })
+        .collect()
 }
 
 #[test]
@@ -347,7 +361,7 @@ fn single_space_failures_escalate_the_penalty() {
     // DESIGN.md §9: a failure records 4x the worst recorded value,
     // earlier penalties included, so repeated failures escalate.
     let failed = || MeasureOutcome::Failed("injected".into());
-    let values = logged_values(
+    let values = recorded_values(
         "penalty-escalates",
         vec![MeasureOutcome::Ok(10.0), failed(), failed()],
     );
@@ -356,7 +370,7 @@ fn single_space_failures_escalate_the_penalty() {
 
 #[test]
 fn single_space_failure_before_any_success_records_the_default_penalty() {
-    let values = logged_values("penalty-default", vec![MeasureOutcome::TimedOut]);
+    let values = recorded_values("penalty-default", vec![MeasureOutcome::TimedOut]);
     assert_eq!(values, [DEFAULT_FAILURE_PENALTY_MS]);
 }
 
@@ -383,7 +397,7 @@ fn tuned_calls_follow_the_documented_gap_schedule() {
     }
     assert_eq!(s.tuned_iterations(), tuned_calls.len() as u64);
     assert_eq!(s.backed_off(), CALLS - tuned_calls.len() as u64);
-    s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().log().len(), tuned_calls.len()));
+    s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().iterations(), tuned_calls.len()));
     // The gaps double once per plateaued iteration and cap at 64.
     let gaps: Vec<u64> = tuned_calls.windows(2).map(|w| w[1] - w[0]).collect();
     assert!(

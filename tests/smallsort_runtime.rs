@@ -154,9 +154,9 @@ fn stress_exact_per_key_accounting_across_eight_threads() {
         );
         s.with_tuner(|t| {
             assert_eq!(
-                t.as_two_phase().unwrap().log().len() as u64,
+                t.as_two_phase().unwrap().iterations() as u64,
                 stats.tuned_iterations,
-                "key {key:?}: tuner log must match the tuned-iteration count"
+                "key {key:?}: tuner iterations must match the tuned-iteration count"
             );
         });
         total += stats.calls;
