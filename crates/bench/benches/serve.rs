@@ -14,6 +14,11 @@
 //!   over a long sustained run; p99 comes from a separate ping-pong phase
 //!   (one request in flight) so the tail is a true round trip, not a
 //!   batch artifact.
+//! * **co-located ping-pong** — a second server and client, both threads
+//!   pinned to one CPU (`sched_setaffinity`, Linux only), so every round
+//!   trip hands that CPU from the client to the server and back, and a
+//!   poll loop in its spin window must yield the CPU to the client.
+//!   Reported, not gated.
 //!
 //! The acceptance bar: served per-request cost ≤ 1.15x direct dispatch.
 //! Serving overhead (frame parse, buffer management, syscalls amortized
@@ -25,7 +30,7 @@
 
 use autotune::json::Json;
 use autotune::serve::protocol::{self, OP_MATCH};
-use autotune::serve::{Client, LatencyHist, RequestHandler, ServeConfig, StopFlag};
+use autotune::serve::{Client, LatencyHist, RequestHandler, ServeConfig, ServeReport, StopFlag};
 use autotune::site::{register, site};
 use autotune::two_phase::NominalKind;
 use bench::harness::{BenchResult, Criterion};
@@ -78,61 +83,35 @@ fn bench_in_process(c: &mut Criterion) {
     group.finish();
 }
 
-/// The served leg: spawn the real server on loopback, measure a sustained
-/// pipelined phase and a ping-pong latency phase. Returns
-/// `(per_request_ns, throughput_rps, requests, p50_us, p99_us)`.
-fn bench_served(sustained: u64, pingpong: u64) -> (f64, f64, u64, f64, f64) {
-    const BATCH: usize = 64;
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().unwrap();
-    let stop = StopFlag::new();
-    let server = {
-        let stop = stop.clone();
-        std::thread::spawn(move || {
-            let mut handler = AppHandler::new(&opts(5003));
-            autotune::serve::serve(listener, &mut handler, &ServeConfig::default(), &stop)
-        })
-    };
+/// Pipelined requests per batch on the sustained and warm-up phases.
+const BATCH: usize = 64;
 
-    let mut client = Client::connect(addr).expect("connect");
-    client
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
+/// Send `n` `OP_MATCH` requests in pipelined batches, checking every
+/// answer's opcode.
+fn run_batches(client: &mut Client, n: u64) {
     let mut frames = Vec::new();
     let mut response = Vec::new();
-    let mut run_batches = |n: u64, timed: bool| -> f64 {
-        let start = Instant::now();
-        let mut left = n;
-        while left > 0 {
-            let k = BATCH.min(left as usize);
-            frames.clear();
-            for _ in 0..k {
-                protocol::write_frame(&mut frames, OP_MATCH, stringmatch::PAPER_QUERY);
-            }
-            client.send_raw(&frames).expect("send batch");
-            for _ in 0..k {
-                let op = client.recv_into(&mut response).expect("recv");
-                assert_eq!(op, OP_MATCH, "server answered {op:#x}");
-            }
-            left -= k as u64;
+    let mut left = n;
+    while left > 0 {
+        let k = BATCH.min(left as usize);
+        frames.clear();
+        for _ in 0..k {
+            protocol::write_frame(&mut frames, OP_MATCH, stringmatch::PAPER_QUERY);
         }
-        if timed {
-            start.elapsed().as_secs_f64()
-        } else {
-            0.0
+        client.send_raw(&frames).expect("send batch");
+        for _ in 0..k {
+            let op = client.recv_into(&mut response).expect("recv");
+            assert_eq!(op, OP_MATCH, "server answered {op:#x}");
         }
-    };
+        left -= k as u64;
+    }
+}
 
-    // Warm up past the exploration phase so the sustained phase measures
-    // the converged regime (as the direct leg's median does).
-    run_batches(sustained / 10 + 512, false);
-    let elapsed = run_batches(sustained, true);
-    let per_request_ns = elapsed * 1e9 / sustained as f64;
-    let throughput = sustained as f64 / elapsed;
-
-    // Honest tail latency: one request in flight.
+/// `n` round trips with one request in flight: honest tail latency.
+fn ping_pong(client: &mut Client, n: u64) -> LatencyHist {
+    let mut response = Vec::new();
     let mut hist = LatencyHist::new();
-    for _ in 0..pingpong {
+    for _ in 0..n {
         let t0 = Instant::now();
         let op = client
             .request_into(OP_MATCH, stringmatch::PAPER_QUERY, &mut response)
@@ -140,6 +119,57 @@ fn bench_served(sustained: u64, pingpong: u64) -> (f64, f64, u64, f64, f64) {
         hist.record(t0.elapsed().as_nanos() as u64);
         assert_eq!(op, OP_MATCH);
     }
+    hist
+}
+
+/// A served `AppHandler` (seeded `seed`) on a loopback port, on a thread
+/// that first runs `setup` (the co-located leg pins it there).
+fn spawn_server(
+    seed: u64,
+    setup: impl FnOnce() + Send + 'static,
+) -> (
+    std::net::SocketAddr,
+    StopFlag,
+    std::thread::JoinHandle<std::io::Result<ServeReport>>,
+) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let stop = StopFlag::new();
+    let server = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            setup();
+            let mut handler = AppHandler::new(&opts(seed));
+            autotune::serve::serve(listener, &mut handler, &ServeConfig::default(), &stop)
+        })
+    };
+    (addr, stop, server)
+}
+
+fn connect(addr: std::net::SocketAddr) -> Client {
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    client
+}
+
+/// The served leg: spawn the real server on loopback, measure a sustained
+/// pipelined phase and a ping-pong latency phase. Returns
+/// `(per_request_ns, throughput_rps, requests, p50_us, p99_us)`.
+fn bench_served(sustained: u64, pingpong: u64) -> (f64, f64, u64, f64, f64) {
+    let (addr, stop, server) = spawn_server(5003, || {});
+    let mut client = connect(addr);
+
+    // Warm up past the exploration phase so the sustained phase measures
+    // the converged regime (as the direct leg's median does).
+    run_batches(&mut client, sustained / 10 + 512);
+    let start = Instant::now();
+    run_batches(&mut client, sustained);
+    let elapsed = start.elapsed().as_secs_f64();
+    let per_request_ns = elapsed * 1e9 / sustained as f64;
+    let throughput = sustained as f64 / elapsed;
+    let hist = ping_pong(&mut client, pingpong);
 
     stop.stop();
     let report = server.join().expect("server thread").expect("serve ok");
@@ -151,6 +181,63 @@ fn bench_served(sustained: u64, pingpong: u64) -> (f64, f64, u64, f64, f64) {
         hist.quantile(0.50) / 1e3,
         hist.quantile(0.99) / 1e3,
     )
+}
+
+/// Pins this bench's own threads to one CPU.
+#[cfg(target_os = "linux")]
+mod affinity {
+    /// A `cpu_set_t` of 1024 CPUs, the glibc size.
+    type CpuSet = [u64; 16];
+
+    extern "C" {
+        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut CpuSet) -> i32;
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
+    }
+
+    /// The lowest CPU the calling thread may run on.
+    pub fn first_allowed_cpu() -> Option<usize> {
+        let mut set: CpuSet = [0; 16];
+        // SAFETY: pid 0 names the calling thread, and `set` is a writable
+        // buffer of exactly the size passed.
+        if unsafe { sched_getaffinity(0, std::mem::size_of_val(&set), &mut set) } != 0 {
+            return None;
+        }
+        (0..set.len() * 64).find(|&cpu| set[cpu / 64] >> (cpu % 64) & 1 == 1)
+    }
+
+    /// Pin the calling thread to `cpu`, one the process may run on.
+    pub fn pin(cpu: usize) {
+        let mut set: CpuSet = [0; 16];
+        set[cpu / 64] |= 1 << (cpu % 64);
+        // SAFETY: pid 0 names the calling thread, and `set` is a valid
+        // cpu set of exactly the size passed.
+        let ok = unsafe { sched_setaffinity(0, std::mem::size_of_val(&set), &set) } == 0;
+        assert!(ok, "could not pin a thread to CPU {cpu}");
+    }
+}
+
+/// The co-located leg: a fresh server and a client, both pinned to one
+/// CPU, warmed up like the served leg, then `pingpong` round trips.
+/// Returns `(p50_us, p99_us)`, or `None` off Linux.
+#[cfg(target_os = "linux")]
+fn bench_colocated(warmup: u64, pingpong: u64) -> Option<(f64, f64)> {
+    let cpu = affinity::first_allowed_cpu()?;
+    let (addr, stop, server) = spawn_server(5004, move || affinity::pin(cpu));
+    let client = std::thread::spawn(move || {
+        affinity::pin(cpu);
+        let mut client = connect(addr);
+        run_batches(&mut client, warmup);
+        ping_pong(&mut client, pingpong)
+    });
+    let hist = client.join().expect("client thread");
+    stop.stop();
+    server.join().expect("server thread").expect("serve ok");
+    Some((hist.quantile(0.50) / 1e3, hist.quantile(0.99) / 1e3))
+}
+
+#[cfg(not(target_os = "linux"))]
+fn bench_colocated(_warmup: u64, _pingpong: u64) -> Option<(f64, f64)> {
+    None
 }
 
 fn median_of(results: &[BenchResult], name: &str) -> Option<f64> {
@@ -175,6 +262,8 @@ fn main() {
     println!("\nserved leg: {sustained} pipelined requests + {pingpong} ping-pong probes…");
     let (served_ns, throughput, server_requests, p50_us, p99_us) =
         bench_served(sustained, pingpong);
+    println!("co-located leg: client and server pinned to one CPU, {pingpong} ping-pong probes…");
+    let colocated = bench_colocated(sustained / 10 + 512, pingpong);
 
     let handler_overhead = handler_ns / direct_ns;
     let served_overhead = served_ns / direct_ns;
@@ -183,6 +272,16 @@ fn main() {
     println!("served   {served_ns:>9.0} ns/req  ({served_overhead:.4}x)");
     println!("served throughput: {throughput:.0} req/s sustained ({server_requests} total at the server)");
     println!("served round-trip: p50 {p50_us:.1}µs  p99 {p99_us:.1}µs");
+    let (colocated_p50, colocated_p99) = match colocated {
+        Some((p50, p99)) => {
+            println!("co-located round-trip: p50 {p50:.1}µs  p99 {p99:.1}µs");
+            (Json::Num(p50), Json::Num(p99))
+        }
+        None => {
+            println!("co-located round-trip: skipped (no CPU to pin to)");
+            (Json::Null, Json::Null)
+        }
+    };
 
     bench::write_bench_json(
         "serve",
@@ -198,6 +297,8 @@ fn main() {
             ("served_throughput_rps", Json::Num(throughput)),
             ("pingpong_p50_us", Json::Num(p50_us)),
             ("pingpong_p99_us", Json::Num(p99_us)),
+            ("pingpong_colocated_p50_us", colocated_p50),
+            ("pingpong_colocated_p99_us", colocated_p99),
         ],
     );
 

@@ -13,9 +13,11 @@
 //!   len][u8 op][payload]`) plus allocation-free parse/serialize helpers.
 //! * [`serve`] — the poll loop: nonblocking sockets, per-connection
 //!   reused read/write buffers, in-place frame parsing, batched response
-//!   writes, and a `poll(2)` readiness wait on passes that moved nothing,
-//!   so an idle server sleeps until a socket is ready. Single-threaded by
-//!   design: one thread owns every socket, so
+//!   writes, and a `poll(2)` readiness wait on passes that moved nothing.
+//!   For 50 µs after answering a request the loop yields its CPU instead
+//!   of waiting, so a client's next request does not pay the server's
+//!   wake-up; past that, an idle server sleeps until a socket is ready.
+//!   Single-threaded by design: one thread owns every socket, so
 //!   each request's site call wins the claim CAS — the serving loop *is*
 //!   the tuning loop, at the rate each site's tuning-rate controller sets
 //!   ([`crate::site`]): every request while a site learns, one in up to

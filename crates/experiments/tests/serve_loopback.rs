@@ -221,3 +221,107 @@ fn http_fallback_answers_stats() {
     server.join().unwrap().expect("server run");
     let _ = std::fs::remove_dir_all(&out);
 }
+
+/// One `AppHandler::handle` call behind `prefix` (what the connection
+/// already owes): a rejected opcode writes nothing, a handled one exactly
+/// one well-formed frame. Returns whether the handler took the opcode.
+fn handle_checked(
+    handler: &mut experiments::serve::AppHandler,
+    op: u8,
+    payload: &[u8],
+    prefix: &[u8],
+) -> bool {
+    use autotune::serve::protocol::{self, Parse, OP_ERR, OP_MORPH, OP_SORT};
+    use autotune::serve::RequestHandler;
+    let mut out = prefix.to_vec();
+    if !handler.handle(op, payload, &mut out) {
+        assert_eq!(out, prefix, "op {op:#x}: rejected, yet wrote");
+        return false;
+    }
+    let frame = match protocol::parse_frame(&out[prefix.len()..]) {
+        Parse::Ready(f) => f,
+        other => panic!("op {op:#x}, payload {payload:?}: {other:?}"),
+    };
+    assert_eq!(
+        prefix.len() + frame.wire_len,
+        out.len(),
+        "op {op:#x}: one frame"
+    );
+    let body = &out[prefix.len() + frame.payload.0..prefix.len() + frame.payload.1];
+    if frame.op == OP_ERR {
+        assert!(std::str::from_utf8(body).is_ok(), "op {op:#x}: {body:?}");
+        return true;
+    }
+    assert_eq!(frame.op, op, "the answer reuses the request's opcode");
+    let want = match op {
+        OP_SORT => 13,
+        OP_MORPH => 2,
+        _ => 4, // match count, render luminance
+    };
+    assert_eq!(body.len(), want, "op {op:#x}, payload {payload:?}");
+    if op == OP_SORT {
+        assert_eq!(body[0], 1, "the sort checks itself: {payload:?}");
+    }
+    true
+}
+
+/// `AppHandler::handle` on seeded random payloads for every opcode it
+/// owns and for 8 it does not: it never panics, and it appends exactly
+/// one well-formed frame when it returns `true` and nothing when it
+/// returns `false`.
+#[test]
+fn app_handler_answers_seeded_random_payloads_with_one_frame() {
+    use autotune::rng::Rng;
+    use autotune::serve::protocol::{OP_MATCH, OP_MORPH, OP_RENDER, OP_SORT};
+    use experiments::serve::AppHandler;
+
+    const UNKNOWN: [u8; 8] = [0x00, 0x0A, 0x0B, 0x10, 0x42, 0x7E, 0x80, 0xFF];
+    let mut handler = AppHandler::new(&ServeOptions {
+        corpus_kb: 4,
+        seed: 7007,
+        ..ServeOptions::default()
+    });
+    let mut rng = Rng::new(0x0F02_2A99);
+    let random_bytes = |rng: &mut Rng, n: u64| -> Vec<u8> {
+        (0..rng.next_below(n + 1))
+            .map(|_| rng.next_u64() as u8)
+            .collect()
+    };
+    for case in 0..600u32 {
+        let (op, payload) = match case % 5 {
+            0 => {
+                // Mostly n < 300; one in 16 keeps a random n, which the
+                // handler caps at `MAX_SORT_N`.
+                let mut p = random_bytes(&mut rng, 16);
+                if p.len() >= 4 && rng.next_below(16) > 0 {
+                    p[..4].copy_from_slice(&(rng.next_below(300) as u32).to_le_bytes());
+                }
+                (OP_SORT, p)
+            }
+            1 => (OP_MATCH, random_bytes(&mut rng, 48)),
+            // Render builds a kD-tree per request, the slow opcode: six
+            // cases, each on the level-0 scene (a morph may have left
+            // the larger one) and at most 8x8 pixels when the payload
+            // names a size.
+            2 if case % 100 == 2 => {
+                assert!(handle_checked(&mut handler, OP_MORPH, &[1, 0], &[]));
+                let mut p = random_bytes(&mut rng, 8);
+                if p.len() >= 4 {
+                    p[0] = 1 + (p[0] % 8);
+                    p[1] = 0;
+                    p[2] = 1 + (p[2] % 8);
+                    p[3] = 0;
+                }
+                (OP_RENDER, p)
+            }
+            3 => (OP_MORPH, random_bytes(&mut rng, 4)),
+            _ => (
+                UNKNOWN[rng.pick_index(UNKNOWN.len())],
+                random_bytes(&mut rng, 64),
+            ),
+        };
+        let prefix = random_bytes(&mut rng, 12);
+        let handled = handle_checked(&mut handler, op, &payload, &prefix);
+        assert_eq!(handled, !UNKNOWN.contains(&op), "op {op:#x}");
+    }
+}
