@@ -102,12 +102,7 @@ fn tuning_call(table: &ContextSites<Key>, key: Key) -> f64 {
 fn converged_after(costs: &[f64]) -> usize {
     let tail_len = costs.len().min(CONV_WINDOW);
     let final_median = stats::median(&costs[costs.len() - tail_len..]);
-    (CONV_WINDOW..=costs.len())
-        .find(|&i| {
-            let m = stats::median(&costs[i - CONV_WINDOW..i]);
-            (m - final_median).abs() <= final_median * CONV_TOLERANCE
-        })
-        .unwrap_or(costs.len())
+    stats::settled_after(costs, CONV_WINDOW, final_median, CONV_TOLERANCE).unwrap_or(costs.len())
 }
 
 fn main() {

@@ -14,7 +14,7 @@
 //! Ordering matters: the disabled-path bench must run before the recorder
 //! is ever enabled, because `enable` is sticky for the process.
 
-use autotune::telemetry::{self, EventKind, MeasureStatus, SimplexOp, SpanKind, WeightSet};
+use autotune::telemetry::{self, EventKind, MeasureStatus, SpanKind, Traffic, WeightSet};
 use autotune::two_phase::{AlgorithmSpec, NominalKind, TwoPhaseTuner};
 use bench::harness::Criterion;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -60,19 +60,30 @@ fn quick_mode() -> bool {
     std::env::var("BENCH_QUICK").is_ok_and(|v| v != "0")
 }
 
+/// A site's iteration record over eight algorithms: the largest event.
+fn iteration_record(i: u64) -> EventKind {
+    let weights = [black_box(0.25f64); 8];
+    EventKind::Iteration {
+        iteration: i,
+        algorithm: (i % 8) as u16,
+        status: MeasureStatus::Ok,
+        runtime_ms: 1.5,
+        weights: WeightSet::from_slice(&weights),
+        traffic: Some(Traffic {
+            calls: 64 * i,
+            backed_off: 63 * i,
+            contended: 0,
+            timed: i,
+        }),
+    }
+}
+
+/// Events emitted per [`emit_mixed`] call.
+const MIXED_EVENTS: u64 = 4;
+
 /// One representative event of every construction cost class.
 fn emit_mixed(i: u64) {
-    telemetry::emit(|| EventKind::IterationStart { iteration: i });
-    telemetry::emit(|| {
-        let weights = [0.25f64; 8];
-        EventKind::AlgorithmSelected {
-            algorithm: (i % 8) as u16,
-            weights: WeightSet::from_slice(&weights),
-        }
-    });
-    telemetry::emit(|| EventKind::Phase1Step {
-        op: SimplexOp::Reflect,
-    });
+    telemetry::emit(|| iteration_record(i));
     telemetry::emit(|| EventKind::SpanBegin {
         span: SpanKind::Search,
     });
@@ -97,8 +108,9 @@ fn bench_disabled_path(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     group.bench_function("disabled_emit", |b| {
         b.iter(|| {
-            telemetry::emit(|| EventKind::IterationStart {
-                iteration: black_box(7),
+            telemetry::emit(|| EventKind::QueueDepth {
+                depth: black_box(7),
+                workers: 1,
             })
         })
     });
@@ -141,21 +153,14 @@ fn bench_enabled_path(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     group.bench_function("enabled_emit", |b| {
         b.iter(|| {
-            telemetry::emit(|| EventKind::IterationStart {
-                iteration: black_box(7),
+            telemetry::emit(|| EventKind::QueueDepth {
+                depth: black_box(7),
+                workers: 1,
             })
         })
     });
-    group.bench_function("enabled_emit_weights", |b| {
-        b.iter(|| {
-            telemetry::emit(|| {
-                let weights = [black_box(0.25f64); 8];
-                EventKind::AlgorithmSelected {
-                    algorithm: 3,
-                    weights: WeightSet::from_slice(&weights),
-                }
-            })
-        })
+    group.bench_function("enabled_emit_record", |b| {
+        b.iter(|| telemetry::emit(|| iteration_record(black_box(7))))
     });
     group.finish();
     telemetry::disable();
@@ -173,19 +178,21 @@ fn check_enabled_recording_is_allocation_free() {
         emit_mixed(i);
     }
     let after = allocations();
+    let events = 50_000 * MIXED_EVENTS;
     assert_eq!(
         after - before,
         0,
-        "enabled telemetry recording allocated {} times over 300k events",
+        "enabled telemetry recording allocated {} times over {events} events",
         after - before
     );
-    println!("check: 300k recorded events, 0 heap allocations");
+    println!("check: {events} recorded events, 0 heap allocations");
     telemetry::disable();
 }
 
 /// End-to-end form of the same claim: two identical fresh tuning loops,
 /// telemetry off vs. on, must have *equal* allocation counts — the
-/// instrumented tuner paths (weight snapshots included) add nothing.
+/// instrumented tuner path (the iteration record's weight snapshot
+/// included) adds nothing.
 fn check_tuner_loop_allocation_parity() {
     let run = || {
         let specs: Vec<AlgorithmSpec> = (0..6)

@@ -178,8 +178,8 @@ impl Json {
 
 /// `f64` encoding: integers print without a fraction so round-trips of
 /// integer-valued parameters stay exact and readable. Crate-visible so the
-/// incremental JSONL exporter ([`crate::telemetry::export`]) can render
-/// events byte-identically without building a [`Json`] tree.
+/// JSONL event writer ([`crate::telemetry::export`]) renders numbers as a
+/// [`Json`] tree would, without building one.
 pub(crate) fn write_number(out: &mut String, x: f64) {
     if !x.is_finite() {
         // JSON has no Inf/NaN; persist as null like serde_json does.

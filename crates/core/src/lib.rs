@@ -105,7 +105,7 @@ pub mod prelude {
     pub use crate::site::{Site, SiteGuard, SiteId, SiteSpec};
     pub use crate::space::{Configuration, Constraint, SearchSpace};
     pub use crate::telemetry::{
-        self, Event, EventKind, MeasureStatus, MetricsReport, SimplexOp, SpanKind, WeightSet,
+        self, Event, EventKind, MeasureStatus, MetricsReport, SpanKind, Traffic, WeightSet,
     };
     pub use crate::two_phase::{
         AlgorithmSpec, NominalKind, Phase1Kind, TwoPhaseSample, TwoPhaseTuner,

@@ -91,7 +91,7 @@ impl NominalStrategy for EpsilonGradient {
     }
 
     fn report(&mut self, algorithm: usize, value: f64) {
-        self.state.record_windowed(algorithm, value);
+        self.state.record(algorithm, value);
     }
 
     fn best(&self) -> Option<usize> {

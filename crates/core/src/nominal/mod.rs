@@ -154,21 +154,6 @@ impl SelectionState {
     pub fn first_unseen(&self) -> Option<usize> {
         self.histories.iter().position(AlgorithmHistory::is_empty)
     }
-
-    /// Like [`record`](Self::record), for strategies whose weights look at
-    /// a sliding window of samples: additionally emits a
-    /// [`telemetry`](crate::telemetry) eviction event when the new sample
-    /// pushes the oldest one out of the algorithm's window.
-    pub fn record_windowed(&mut self, algorithm: usize, value: f64) {
-        self.record(algorithm, value);
-        let (len, window) = (self.histories[algorithm].len(), self.window());
-        if len > window {
-            crate::telemetry::emit(|| crate::telemetry::EventKind::WindowEvicted {
-                algorithm: algorithm as u16,
-                evicted_sample: (len - window - 1) as u64,
-            });
-        }
-    }
 }
 
 /// Fill in weights for never-sampled algorithms, in place.

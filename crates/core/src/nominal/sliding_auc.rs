@@ -54,7 +54,7 @@ impl NominalStrategy for SlidingWindowAuc {
     }
 
     fn report(&mut self, algorithm: usize, value: f64) {
-        self.state.record_windowed(algorithm, value);
+        self.state.record(algorithm, value);
     }
 
     fn best(&self) -> Option<usize> {

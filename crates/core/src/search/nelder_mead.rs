@@ -249,17 +249,6 @@ impl Searcher for NelderMead {
             self.pending.is_none(),
             "propose() called twice without report()"
         );
-        crate::telemetry::emit(|| crate::telemetry::EventKind::Phase1Step {
-            op: match &self.state {
-                State::Init { .. } => crate::telemetry::SimplexOp::Init,
-                State::Reflect => crate::telemetry::SimplexOp::Reflect,
-                State::Expand { .. } => crate::telemetry::SimplexOp::Expand,
-                State::ContractOutside { .. } => crate::telemetry::SimplexOp::ContractOutside,
-                State::ContractInside => crate::telemetry::SimplexOp::ContractInside,
-                State::Shrink { .. } => crate::telemetry::SimplexOp::Shrink,
-                State::Exploit => crate::telemetry::SimplexOp::Exploit,
-            },
-        });
         let coords = match self.queued.take() {
             Some(q) => q,
             None => match &self.state {

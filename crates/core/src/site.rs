@@ -125,10 +125,12 @@
 //! **Telemetry.** Every event a site's tuner emits is stamped with the
 //! site's id via [`crate::telemetry::with_site`], so one global trace
 //! interleaves thousands of sites and can still be split per site at
-//! export time. An untuned call pushes no event unless it failed or
-//! timed out: its traffic reaches the trace as the
-//! [`EventKind::SiteTraffic`] summary each tuned iteration ends with, so
-//! the global metric registers count tuned-path outcomes only.
+//! export time. A tuned iteration emits one [`EventKind::Iteration`]
+//! record, which carries the site's cumulative [`Traffic`] counters
+//! (that call included). An untuned call pushes no event unless it
+//! failed or timed out, so its traffic reaches the trace through the next
+//! record's counters and the global metric registers count tuned-path
+//! outcomes only.
 //!
 //! Single-threaded use drives the embedded tuner exactly as a direct
 //! caller would: the claim CAS always succeeds, so the tuned calls run
@@ -142,7 +144,7 @@ use crate::param::Value;
 use crate::robust::{clock_pair_ms, duration_ms, MeasureOutcome};
 use crate::space::{Configuration, Constraint, SearchSpace};
 use crate::telemetry::metrics::{bucket_index, bucket_quantile, HIST_BUCKETS};
-use crate::telemetry::{self, EventKind, MeasureStatus};
+use crate::telemetry::{self, EventKind, MeasureStatus, Traffic};
 use crate::two_phase::{AlgorithmSpec, NominalKind, TwoPhaseTuner};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, Ordering};
@@ -384,10 +386,11 @@ impl SiteTuner {
         (tuner, name)
     }
 
-    /// Complete the pending iteration; its recorded value (measurement
-    /// or failure penalty) also feeds the tuning-rate controller.
-    fn report_outcome(&mut self, outcome: MeasureOutcome) {
-        let value = self.tuner.report_outcome(outcome).value;
+    /// Complete the pending iteration, tracing it with the site's
+    /// `traffic`; its recorded value (measurement or failure penalty)
+    /// also feeds the tuning-rate controller.
+    fn report_outcome(&mut self, outcome: MeasureOutcome, traffic: Traffic) {
+        let value = self.tuner.report_outcome_with(outcome, Some(traffic)).value;
         self.rate.record(value);
     }
 
@@ -639,6 +642,22 @@ impl SiteSlot {
         // The stride is a power of two: a mask, not a division.
         let stride = u64::from(self.stride.load(Ordering::Relaxed));
         untuned & (stride - 1) == 0
+    }
+
+    /// The traffic counters as a tuning call resolves, that call (not yet
+    /// counted) included. Loaded in the reverse of the order
+    /// `SiteGuard::finish` bumps them, so racing untuned calls cannot
+    /// break `timed ≤ backed_off + contended ≤ calls`.
+    fn traffic(&self) -> Traffic {
+        let timed = self.timed.load(Ordering::Acquire);
+        let backed_off = self.backed_off.load(Ordering::Acquire);
+        let contended = self.contended.load(Ordering::Acquire);
+        Traffic {
+            calls: self.calls.load(Ordering::Relaxed) + 1,
+            backed_off,
+            contended,
+            timed,
+        }
     }
 }
 
@@ -1006,10 +1025,11 @@ impl SiteGuard {
         let slot = self.site.slot;
         let sample = match (self.path, &outcome) {
             (CallPath::Tuning, _) => {
+                let traffic = slot.traffic();
                 telemetry::with_site(slot.id.tag(), || {
                     // SAFETY: this thread holds the claim (see `Sync` impl).
                     let tuner = unsafe { &mut (*slot.state.get()).tuner };
-                    tuner.report_outcome(outcome);
+                    tuner.report_outcome(outcome, traffic);
                     slot.publish(&tuner.tuner);
                 });
                 slot.claim.store(0, Ordering::Release);
@@ -1049,16 +1069,6 @@ impl SiteGuard {
         if let Some(ms) = sample {
             slot.runtimes[bucket_index(ms)].fetch_add(1, Ordering::Relaxed);
             slot.timed.fetch_add(1, Ordering::Release);
-        }
-        if self.path == CallPath::Tuning {
-            telemetry::with_site(slot.id.tag(), || {
-                telemetry::emit(|| EventKind::SiteTraffic {
-                    calls: slot.calls.load(Ordering::Relaxed),
-                    backed_off: slot.backed_off.load(Ordering::Relaxed),
-                    contended: slot.contended.load(Ordering::Relaxed),
-                    timed: slot.timed.load(Ordering::Relaxed),
-                });
-            });
         }
     }
 }

@@ -106,6 +106,15 @@ pub fn per_iteration_reduce(series: &[Vec<f64>], f: impl Fn(&[f64]) -> f64) -> V
         .collect()
 }
 
+/// The rolling-median settle scan: the first `i ≥ window` at which the
+/// median of `series[i − window..i]` lies within `tolerance · target` of
+/// `target` — how many samples a series takes to reach a regime. `None`
+/// if it never does.
+pub fn settled_after(series: &[f64], window: usize, target: f64, tolerance: f64) -> Option<usize> {
+    (window..=series.len())
+        .find(|&i| (median(&series[i - window..i]) - target).abs() <= target * tolerance)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,5 +231,14 @@ mod tests {
         assert_eq!(quantile(&xs, 0.0), f64::NEG_INFINITY);
         assert_eq!(quantile(&xs, 1.0), f64::INFINITY);
         assert_eq!(median(&xs), 0.0);
+    }
+
+    #[test]
+    fn settled_after_finds_the_first_window_within_tolerance() {
+        let series = [10.0, 9.0, 8.0, 2.2, 2.0, 1.9, 2.0];
+        assert_eq!(settled_after(&series, 3, 2.0, 0.05), Some(6));
+        assert_eq!(settled_after(&series, 1, 2.0, 0.05), Some(5));
+        assert_eq!(settled_after(&series, 3, 0.5, 0.05), None);
+        assert_eq!(settled_after(&series[..2], 3, 10.0, 0.05), None);
     }
 }

@@ -82,8 +82,6 @@ struct AlgoRegister {
     selections: AtomicU64,
     ok: AtomicU64,
     failures: AtomicU64,
-    penalties: AtomicU64,
-    evictions: AtomicU64,
     /// Most recent phase-2 weight, stored as `f64` bits.
     last_weight: AtomicU64,
     /// Log-spaced histogram of successful runtimes.
@@ -96,8 +94,6 @@ impl AlgoRegister {
             selections: AtomicU64::new(0),
             ok: AtomicU64::new(0),
             failures: AtomicU64::new(0),
-            penalties: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             last_weight: AtomicU64::new(f64::NAN.to_bits()),
             hist: std::array::from_fn(|_| AtomicU64::new(0)),
         }
@@ -107,8 +103,6 @@ impl AlgoRegister {
         self.selections.store(0, Ordering::Relaxed);
         self.ok.store(0, Ordering::Relaxed);
         self.failures.store(0, Ordering::Relaxed);
-        self.penalties.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
         self.last_weight
             .store(f64::NAN.to_bits(), Ordering::Relaxed);
         for b in &self.hist {
@@ -126,7 +120,6 @@ pub struct Metrics {
     /// One past the highest algorithm index touched so far.
     algo_count: AtomicU64,
     iterations: AtomicU64,
-    phase1_steps: AtomicU64,
     spans: AtomicU64,
     max_queue_depth: AtomicU64,
     last_queue_depth: AtomicU64,
@@ -140,7 +133,6 @@ impl Metrics {
             algos: std::array::from_fn(|_| AlgoRegister::new()),
             algo_count: AtomicU64::new(0),
             iterations: AtomicU64::new(0),
-            phase1_steps: AtomicU64::new(0),
             spans: AtomicU64::new(0),
             max_queue_depth: AtomicU64::new(0),
             last_queue_depth: AtomicU64::new(0),
@@ -161,10 +153,14 @@ impl Metrics {
     /// Update the registers for one event. Lock-free and allocation-free.
     pub fn observe(&self, kind: &EventKind) {
         match kind {
-            EventKind::IterationStart { .. } => {
+            EventKind::Iteration {
+                algorithm,
+                status,
+                runtime_ms,
+                weights,
+                ..
+            } => {
                 self.iterations.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::AlgorithmSelected { algorithm, weights } => {
                 if let Some(a) = self.algo(*algorithm) {
                     a.selections.fetch_add(1, Ordering::Relaxed);
                 }
@@ -174,41 +170,17 @@ impl Metrics {
                         .last_weight
                         .store((*w as f64).to_bits(), Ordering::Relaxed);
                 }
-            }
-            EventKind::Phase1Step { .. } => {
-                self.phase1_steps.fetch_add(1, Ordering::Relaxed);
+                self.outcome(*algorithm, *status, *runtime_ms);
             }
             EventKind::MeasureOutcome {
                 algorithm,
                 status,
                 runtime_ms,
-            } => {
-                if let Some(a) = self.algo(*algorithm) {
-                    match status {
-                        MeasureStatus::Ok => {
-                            a.ok.fetch_add(1, Ordering::Relaxed);
-                            a.hist[bucket_index(*runtime_ms)].fetch_add(1, Ordering::Relaxed);
-                        }
-                        MeasureStatus::Failed | MeasureStatus::TimedOut => {
-                            a.failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            EventKind::PenaltyApplied { algorithm, .. } => {
-                if let Some(a) = self.algo(*algorithm) {
-                    a.penalties.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            EventKind::WindowEvicted { algorithm, .. } => {
-                if let Some(a) = self.algo(*algorithm) {
-                    a.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            } => self.outcome(*algorithm, *status, *runtime_ms),
             EventKind::SpanBegin { .. } => {
                 self.spans.fetch_add(1, Ordering::Relaxed);
             }
-            EventKind::SpanEnd { .. } | EventKind::SiteTraffic { .. } => {}
+            EventKind::PenaltyApplied { .. } | EventKind::SpanEnd { .. } => {}
             EventKind::QueueDepth { depth, .. } => {
                 let d = *depth as u64;
                 self.max_queue_depth.fetch_max(d, Ordering::Relaxed);
@@ -220,6 +192,22 @@ impl Metrics {
         }
     }
 
+    /// Count one measurement outcome of `algorithm`; a successful one also
+    /// lands in its runtime histogram.
+    fn outcome(&self, algorithm: u16, status: MeasureStatus, runtime_ms: f64) {
+        if let Some(a) = self.algo(algorithm) {
+            match status {
+                MeasureStatus::Ok => {
+                    a.ok.fetch_add(1, Ordering::Relaxed);
+                    a.hist[bucket_index(runtime_ms)].fetch_add(1, Ordering::Relaxed);
+                }
+                MeasureStatus::Failed | MeasureStatus::TimedOut => {
+                    a.failures.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
     /// Zero every register.
     pub fn reset(&self) {
         for a in &self.algos {
@@ -227,7 +215,6 @@ impl Metrics {
         }
         self.algo_count.store(0, Ordering::Relaxed);
         self.iterations.store(0, Ordering::Relaxed);
-        self.phase1_steps.store(0, Ordering::Relaxed);
         self.spans.store(0, Ordering::Relaxed);
         self.max_queue_depth.store(0, Ordering::Relaxed);
         self.last_queue_depth.store(0, Ordering::Relaxed);
@@ -253,8 +240,6 @@ impl Metrics {
                     selections: a.selections.load(Ordering::Relaxed),
                     ok: a.ok.load(Ordering::Relaxed),
                     failures: a.failures.load(Ordering::Relaxed),
-                    penalties: a.penalties.load(Ordering::Relaxed),
-                    evictions: a.evictions.load(Ordering::Relaxed),
                     last_weight: f64::from_bits(a.last_weight.load(Ordering::Relaxed)),
                     histogram,
                 }
@@ -262,7 +247,6 @@ impl Metrics {
             .collect();
         MetricsReport {
             iterations: self.iterations.load(Ordering::Relaxed),
-            phase1_steps: self.phase1_steps.load(Ordering::Relaxed),
             spans: self.spans.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
             last_queue_depth: self.last_queue_depth.load(Ordering::Relaxed),
@@ -287,10 +271,6 @@ pub struct AlgoMetrics {
     pub ok: u64,
     /// Failed or timed-out measurements.
     pub failures: u64,
-    /// Failure penalties charged.
-    pub penalties: u64,
-    /// Samples evicted from sliding-window strategies.
-    pub evictions: u64,
     /// Most recent phase-2 weight (NaN if never observed).
     pub last_weight: f64,
     /// Non-empty runtime-histogram buckets as `(lower_bound_ms, count)`.
@@ -300,10 +280,8 @@ pub struct AlgoMetrics {
 /// Plain-data snapshot of all metric registers; see [`Metrics::report`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsReport {
-    /// Tuning iterations started.
+    /// Tuning iterations recorded.
     pub iterations: u64,
-    /// Phase-1 (simplex) proposals recorded.
-    pub phase1_steps: u64,
     /// Workload measurement spans opened.
     pub spans: u64,
     /// Highest pool queue depth observed.
@@ -338,8 +316,6 @@ impl MetricsReport {
                     ("selections", Json::Num(a.selections as f64)),
                     ("ok", Json::Num(a.ok as f64)),
                     ("failures", Json::Num(a.failures as f64)),
-                    ("penalties", Json::Num(a.penalties as f64)),
-                    ("evictions", Json::Num(a.evictions as f64)),
                     ("last_weight", Json::Num(a.last_weight)),
                     ("runtime_hist", Json::Arr(hist)),
                 ])
@@ -347,7 +323,6 @@ impl MetricsReport {
             .collect();
         Json::obj(vec![
             ("iterations", Json::Num(self.iterations as f64)),
-            ("phase1_steps", Json::Num(self.phase1_steps as f64)),
             ("spans", Json::Num(self.spans as f64)),
             ("max_queue_depth", Json::Num(self.max_queue_depth as f64)),
             ("last_queue_depth", Json::Num(self.last_queue_depth as f64)),
@@ -407,32 +382,22 @@ mod tests {
     #[test]
     fn observe_updates_registers() {
         let m = Metrics::new();
-        m.observe(&EventKind::IterationStart { iteration: 0 });
-        m.observe(&EventKind::AlgorithmSelected {
+        let record = |status, runtime_ms| EventKind::Iteration {
+            iteration: 0,
             algorithm: 1,
+            status,
+            runtime_ms,
             weights: WeightSet::from_slice(&[0.25, 0.75]),
-        });
-        m.observe(&EventKind::MeasureOutcome {
-            algorithm: 1,
-            status: MeasureStatus::Ok,
-            runtime_ms: 5.0,
-        });
-        m.observe(&EventKind::MeasureOutcome {
-            algorithm: 1,
-            status: MeasureStatus::Failed,
-            runtime_ms: 100.0,
-        });
-        m.observe(&EventKind::PenaltyApplied {
-            algorithm: 1,
-            penalty_ms: 100.0,
-        });
+            traffic: None,
+        };
+        m.observe(&record(MeasureStatus::Ok, 5.0));
+        m.observe(&record(MeasureStatus::Failed, 100.0));
         let r = m.report();
-        assert_eq!(r.iterations, 1);
+        assert_eq!(r.iterations, 2);
         assert_eq!(r.algorithms.len(), 2);
-        assert_eq!(r.algorithms[1].selections, 1);
+        assert_eq!(r.algorithms[1].selections, 2);
         assert_eq!(r.algorithms[1].ok, 1);
         assert_eq!(r.algorithms[1].failures, 1);
-        assert_eq!(r.algorithms[1].penalties, 1);
         assert_eq!(r.algorithms[0].last_weight, 0.25);
         assert_eq!(r.algorithms[1].histogram.len(), 1);
         assert_eq!(r.algorithms[1].histogram[0].1, 1);
@@ -444,8 +409,13 @@ mod tests {
     fn out_of_range_algorithms_are_ignored() {
         let m = Metrics::new();
         m.observe(&EventKind::PenaltyApplied {
+            algorithm: u16::MAX,
+            penalty_ms: 0.0,
+        });
+        m.observe(&EventKind::MeasureOutcome {
             algorithm: MAX_TRACKED_ALGORITHMS as u16 + 3,
-            penalty_ms: 1.0,
+            status: MeasureStatus::Failed,
+            runtime_ms: f64::NAN,
         });
         assert!(m.report().algorithms.is_empty());
     }

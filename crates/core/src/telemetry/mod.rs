@@ -5,10 +5,11 @@
 //! how runtime converged. This module records exactly those traces from a
 //! live tuner without slowing the hot path it is tuning:
 //!
-//! * **Typed events** ([`Event`] / [`EventKind`]) — iteration starts,
-//!   algorithm selections with the full phase-2 weight vector, simplex
-//!   operations, measurement outcomes, failure penalties, sliding-window
-//!   evictions, workload spans and pool queue depths.
+//! * **Typed events** ([`Event`] / [`EventKind`]) — one
+//!   [`EventKind::Iteration`] record per tuning iteration (the selected
+//!   algorithm, its outcome and runtime, the phase-2 weight vector, and a
+//!   site's traffic counters), plus untuned-call failures, degenerate
+//!   proposals, workload spans, pool queue depths and drift restarts.
 //! * **A fixed-capacity ring buffer** ([`ring::EventRing`]) — allocated
 //!   once at [`enable`] time; recording an event never allocates and the
 //!   oldest events are overwritten at capacity.
@@ -25,8 +26,8 @@
 //! event, so when telemetry is off the event is never constructed:
 //!
 //! ```
-//! use autotune::telemetry::{self, EventKind};
-//! telemetry::emit(|| EventKind::IterationStart { iteration: 7 });
+//! use autotune::telemetry::{self, EventKind, SpanKind};
+//! telemetry::emit(|| EventKind::SpanBegin { span: SpanKind::Search });
 //! ```
 //!
 //! Two switches stack:
@@ -65,7 +66,8 @@ use std::time::Instant;
 /// simply not recorded.
 pub const MAX_TRACKED_ALGORITHMS: usize = 16;
 
-/// Default event capacity used by [`enable`] (65 536 events ≈ 3 MiB).
+/// Default event capacity used by [`enable`] (65 536 events of 144 B ≈
+/// 9 MiB, whose pages are touched only as the rings fill).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// Number of independent ring shards the *global* recorder uses.
@@ -248,54 +250,6 @@ impl WeightSet {
     }
 }
 
-/// The Nelder-Mead simplex operation behind a [`EventKind::Phase1Step`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SimplexOp {
-    /// Evaluating an initial simplex vertex.
-    Init,
-    /// Proposing the reflection point.
-    Reflect,
-    /// Proposing the expansion point.
-    Expand,
-    /// Proposing the outside-contraction point.
-    ContractOutside,
-    /// Proposing the inside-contraction point.
-    ContractInside,
-    /// Re-evaluating vertices after a simplex shrink.
-    Shrink,
-    /// Simplex has converged; re-proposing the best known vertex.
-    Exploit,
-}
-
-impl SimplexOp {
-    /// Stable kebab-case name used by the JSONL exporter.
-    pub fn label(self) -> &'static str {
-        match self {
-            SimplexOp::Init => "init",
-            SimplexOp::Reflect => "reflect",
-            SimplexOp::Expand => "expand",
-            SimplexOp::ContractOutside => "contract-outside",
-            SimplexOp::ContractInside => "contract-inside",
-            SimplexOp::Shrink => "shrink",
-            SimplexOp::Exploit => "exploit",
-        }
-    }
-
-    /// Inverse of [`label`](Self::label).
-    pub fn from_label(s: &str) -> Option<Self> {
-        Some(match s {
-            "init" => SimplexOp::Init,
-            "reflect" => SimplexOp::Reflect,
-            "expand" => SimplexOp::Expand,
-            "contract-outside" => SimplexOp::ContractOutside,
-            "contract-inside" => SimplexOp::ContractInside,
-            "shrink" => SimplexOp::Shrink,
-            "exploit" => SimplexOp::Exploit,
-            _ => return None,
-        })
-    }
-}
-
 /// Outcome class of a measurement, as recorded in telemetry.
 ///
 /// This is the telemetry-side mirror of [`crate::robust::MeasureOutcome`],
@@ -368,54 +322,63 @@ impl SpanKind {
     }
 }
 
+/// A site's cumulative traffic counters ([`crate::site::Site::calls`] and
+/// its siblings) as one of its tuning iterations resolves, that call
+/// included. Untuned calls push no event of their own, so this is how a
+/// trace sees the exploit traffic between tuning calls.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Traffic {
+    /// Completed calls.
+    pub calls: u64,
+    /// Calls the tuning-rate controller backed off.
+    pub backed_off: u64,
+    /// Calls that lost the claim race.
+    pub contended: u64,
+    /// Untuned calls that were timed ([`crate::site::Site::timed`]).
+    pub timed: u64,
+}
+
 /// The payload of a recorded [`Event`]. All variants are `Copy` and
 /// heap-free so recording never allocates.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EventKind {
-    /// A tuning iteration began (emitted by `TwoPhaseTuner::next`).
-    IterationStart {
+    /// One tuning iteration, recorded once when it resolves (reported,
+    /// failed or penalized) by `TwoPhaseTuner`.
+    Iteration {
         /// Zero-based iteration counter of the emitting tuner.
         iteration: u64,
-    },
-    /// Phase 2 selected an algorithm, with the strategy's current weight
-    /// vector at selection time. A one-algorithm tuner selects nothing
-    /// and emits none.
-    AlgorithmSelected {
-        /// Index of the chosen algorithm.
+        /// Index of the algorithm phase 2 selected.
         algorithm: u16,
+        /// Whether the measurement succeeded, failed or timed out.
+        status: MeasureStatus,
+        /// The reported runtime; for a failed iteration, the penalty the
+        /// tuner recorded instead.
+        runtime_ms: f64,
         /// Phase-2 weights over all algorithms at selection time.
         weights: WeightSet,
+        /// The site's traffic, when the iteration resolved through a
+        /// [`crate::site::SiteGuard`]; `None` for a directly driven tuner
+        /// and for a proposal a site penalized in [`crate::site::Site::pre`].
+        traffic: Option<Traffic>,
     },
-    /// Phase 1 (Nelder-Mead) proposed a configuration.
-    Phase1Step {
-        /// The simplex operation that produced the proposal.
-        op: SimplexOp,
-    },
-    /// A measurement finished: a tuning iteration's, reported to the
-    /// tuner, or an untuned call's that failed or timed out (successful
-    /// untuned calls feed the site's counters instead; see
-    /// [`EventKind::SiteTraffic`]).
+    /// An untuned site call that failed or timed out, or one that ran the
+    /// published decision in place of a penalized proposal (successful
+    /// untuned calls only count; see [`Traffic`]).
     MeasureOutcome {
         /// Index of the algorithm that was measured.
         algorithm: u16,
         /// Whether the measurement succeeded, failed or timed out.
         status: MeasureStatus,
-        /// The reported runtime (for failures: the penalty charged).
+        /// The measured runtime (`NaN` for failures).
         runtime_ms: f64,
     },
-    /// A failed measurement was converted into a penalty runtime.
+    /// A phase-1 searcher proposed non-finite coordinates, which
+    /// [`crate::space::SearchSpace::clamp`] projected to the box minimum.
     PenaltyApplied {
-        /// Index of the penalized algorithm.
+        /// Always `u16::MAX`, outside every tracked algorithm index.
         algorithm: u16,
-        /// The penalty charged, in milliseconds.
+        /// Always 0.
         penalty_ms: f64,
-    },
-    /// A sample aged out of a sliding-window strategy's logical window.
-    WindowEvicted {
-        /// Index of the algorithm whose window advanced.
-        algorithm: u16,
-        /// Per-algorithm index of the sample that left the window.
-        evicted_sample: u64,
     },
     /// A workload measurement span opened.
     SpanBegin {
@@ -433,20 +396,6 @@ pub enum EventKind {
         depth: u32,
         /// Number of live worker threads in the pool.
         workers: u32,
-    },
-    /// A site's cumulative traffic counters, emitted once per tuned
-    /// iteration ([`crate::site`]). Untuned calls push no event of their
-    /// own, so this is how a trace sees the exploit traffic between
-    /// tuning calls.
-    SiteTraffic {
-        /// Completed calls ([`crate::site::Site::calls`]).
-        calls: u64,
-        /// Calls the tuning-rate controller backed off.
-        backed_off: u64,
-        /// Calls that lost the claim race.
-        contended: u64,
-        /// Untuned calls that were timed ([`crate::site::Site::timed`]).
-        timed: u64,
     },
     /// A drift monitor ([`crate::drift`]) detected sustained regression
     /// against the converged baseline and triggered a tuner restart. The
@@ -569,15 +518,27 @@ impl Recorder {
         });
     }
 
-    /// Copy out the currently stored events across all shards, merged
+    /// Replace `events` with every shard's stored events, merged
     /// oldest-first by timestamp (a stable sort: events within one shard
-    /// keep their recorded order).
-    pub fn snapshot(&self) -> Vec<Event> {
-        let mut events = Vec::new();
+    /// keep their recorded order), clearing each ring on the way when
+    /// `clear`.
+    fn merge_shards_into(&self, events: &mut Vec<Event>, clear: bool) {
+        events.clear();
         for i in 0..self.shards.len() {
-            events.extend_from_slice(&self.ring(i).to_vec());
+            let mut ring = self.ring(i);
+            events.extend(ring.iter().copied());
+            if clear {
+                ring.clear();
+            }
         }
         events.sort_by_key(|e| e.t_us);
+    }
+
+    /// Copy out the currently stored events across all shards, merged
+    /// oldest-first by timestamp.
+    pub fn snapshot(&self) -> Vec<Event> {
+        let mut events = Vec::new();
+        self.merge_shards_into(&mut events, false);
         events
     }
 
@@ -591,13 +552,7 @@ impl Recorder {
     /// the ring repeatedly with zero per-drain allocations once its
     /// buffers have warmed up.
     pub fn drain_jsonl_into(&self, events: &mut Vec<Event>, out: &mut String) -> usize {
-        events.clear();
-        for i in 0..self.shards.len() {
-            let mut ring = self.ring(i);
-            events.extend(ring.iter().copied());
-            ring.clear();
-        }
-        events.sort_by_key(|e| e.t_us);
+        self.merge_shards_into(events, true);
         for e in events.iter() {
             export::append_event_jsonl(e, out);
         }
@@ -608,12 +563,7 @@ impl Recorder {
     /// ring (metrics are kept).
     pub fn drain(&self) -> Vec<Event> {
         let mut events = Vec::new();
-        for i in 0..self.shards.len() {
-            let mut ring = self.ring(i);
-            events.extend_from_slice(&ring.to_vec());
-            ring.clear();
-        }
-        events.sort_by_key(|e| e.t_us);
+        self.merge_shards_into(&mut events, true);
         events
     }
 
@@ -765,17 +715,6 @@ mod tests {
 
     #[test]
     fn labels_round_trip() {
-        for op in [
-            SimplexOp::Init,
-            SimplexOp::Reflect,
-            SimplexOp::Expand,
-            SimplexOp::ContractOutside,
-            SimplexOp::ContractInside,
-            SimplexOp::Shrink,
-            SimplexOp::Exploit,
-        ] {
-            assert_eq!(SimplexOp::from_label(op.label()), Some(op));
-        }
         for st in [
             MeasureStatus::Ok,
             MeasureStatus::Failed,
@@ -791,7 +730,14 @@ mod tests {
     #[test]
     fn recorder_records_and_drains() {
         let r = Recorder::new(8);
-        r.record(EventKind::IterationStart { iteration: 0 });
+        r.record(EventKind::Iteration {
+            iteration: 0,
+            algorithm: 0,
+            status: MeasureStatus::Ok,
+            runtime_ms: 1.0,
+            weights: WeightSet::empty(),
+            traffic: None,
+        });
         r.record(EventKind::QueueDepth {
             depth: 2,
             workers: 4,

@@ -115,7 +115,10 @@ mod tests {
             t_us: i,
             site: NO_SITE,
             context: NO_CONTEXT,
-            kind: EventKind::IterationStart { iteration: i },
+            kind: EventKind::QueueDepth {
+                depth: i as u32,
+                workers: 1,
+            },
         }
     }
 

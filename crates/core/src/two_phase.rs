@@ -20,7 +20,9 @@ use crate::nominal::{
 use crate::robust::{failure_penalty, MeasureOutcome};
 use crate::search::{HillClimbing, NelderMead, NelderMeadOptions, RandomSearch, Searcher};
 use crate::space::{Configuration, SearchSpace};
-use crate::telemetry::{self, EventKind, MeasureStatus, WeightSet, MAX_TRACKED_ALGORITHMS};
+use crate::telemetry::{
+    self, EventKind, MeasureStatus, Traffic, WeightSet, MAX_TRACKED_ALGORITHMS,
+};
 
 /// Description of one tunable algorithm: its name, its own parameter space
 /// `T_A`, and an optional hand-crafted starting configuration (the paper's
@@ -250,8 +252,9 @@ impl TwoPhaseTuner {
     /// algorithm (phase 2), then its parameter configuration (phase 1).
     ///
     /// With a single algorithm there is nothing to select: phase 2 is not
-    /// consulted, so the iteration draws no RNG and emits no
-    /// `AlgorithmSelected` event — single-space tuning is phase 1 alone.
+    /// consulted, so the iteration draws no RNG — single-space tuning is
+    /// phase 1 alone. The iteration's trace record is emitted when it
+    /// resolves, by the report.
     ///
     /// Named `next` for the ask/tell protocol; not an `Iterator`.
     #[allow(clippy::should_implement_trait)]
@@ -260,25 +263,10 @@ impl TwoPhaseTuner {
             self.pending.is_none(),
             "next() called twice without report()"
         );
-        telemetry::emit(|| EventKind::IterationStart {
-            iteration: self.iteration as u64,
-        });
         let algorithm = if self.specs.len() == 1 {
             0
         } else {
-            let algorithm = self.strategy.select();
-            telemetry::emit(|| {
-                // Snapshot the phase-2 weight vector into a stack buffer —
-                // recording must not allocate.
-                let mut weights = [0.0f64; MAX_TRACKED_ALGORITHMS];
-                let n = self.strategy.num_algorithms().min(MAX_TRACKED_ALGORITHMS);
-                self.strategy.weights_into(&mut weights[..n]);
-                EventKind::AlgorithmSelected {
-                    algorithm: algorithm as u16,
-                    weights: WeightSet::from_slice(&weights[..n]),
-                }
-            });
-            algorithm
+            self.strategy.select()
         };
         let config = self.searchers[algorithm].propose();
         self.pending = Some((algorithm, config.clone()));
@@ -307,30 +295,7 @@ impl TwoPhaseTuner {
     /// A non-finite value is treated as a measurement failure and routed
     /// through [`TwoPhaseTuner::report_failure`].
     pub fn report(&mut self, value: f64) -> TwoPhaseSample {
-        if !value.is_finite() {
-            return self.report_failure();
-        }
-        let (algorithm, config) = self.pending.take().expect("report() without next()");
-        telemetry::emit(|| EventKind::MeasureOutcome {
-            algorithm: algorithm as u16,
-            status: MeasureStatus::Ok,
-            runtime_ms: value,
-        });
-        self.searchers[algorithm].report(value);
-        self.strategy.report(algorithm, value);
-        // Track the global optimum over (A, C) pairs.
-        if self.best.as_ref().is_none_or(|(_, _, b)| value < *b) {
-            self.best = Some((algorithm, config.clone(), value));
-        }
-        let sample = TwoPhaseSample {
-            iteration: self.iteration,
-            algorithm,
-            config,
-            value,
-            failed: false,
-        };
-        self.iteration += 1;
-        sample
+        self.report_outcome_with(MeasureOutcome::Ok(value), None)
     }
 
     /// Report that the measurement of the last proposal *failed* (panic,
@@ -339,37 +304,7 @@ impl TwoPhaseTuner {
     /// algorithm is deprioritized without ever being excluded, and the
     /// phase-1 searcher steers away from the failing configuration.
     pub fn report_failure(&mut self) -> TwoPhaseSample {
-        self.fail_with_status(MeasureStatus::Failed)
-    }
-
-    fn fail_with_status(&mut self, status: MeasureStatus) -> TwoPhaseSample {
-        let (algorithm, config) = self
-            .pending
-            .take()
-            .expect("report_failure() without next()");
-        let penalty = failure_penalty(self.strategy.histories());
-        telemetry::emit(|| EventKind::MeasureOutcome {
-            algorithm: algorithm as u16,
-            status,
-            runtime_ms: penalty,
-        });
-        telemetry::emit(|| EventKind::PenaltyApplied {
-            algorithm: algorithm as u16,
-            penalty_ms: penalty,
-        });
-        self.searchers[algorithm].report(penalty);
-        self.strategy.report_failure(algorithm);
-        self.failures[algorithm] += 1;
-        // The penalty is deliberately *not* a candidate for `best`.
-        let sample = TwoPhaseSample {
-            iteration: self.iteration,
-            algorithm,
-            config,
-            value: penalty,
-            failed: true,
-        };
-        self.iteration += 1;
-        sample
+        self.report_outcome_with(MeasureOutcome::Failed(String::new()), None)
     }
 
     /// Abandon the last proposal without reporting anything — the
@@ -387,11 +322,68 @@ impl TwoPhaseTuner {
     /// Report a [`MeasureOutcome`]: `Ok` values follow the normal path,
     /// failures and timeouts the penalty path.
     pub fn report_outcome(&mut self, outcome: MeasureOutcome) -> TwoPhaseSample {
-        match outcome {
-            MeasureOutcome::Ok(v) => self.report(v),
-            MeasureOutcome::Failed(_) => self.fail_with_status(MeasureStatus::Failed),
-            MeasureOutcome::TimedOut => self.fail_with_status(MeasureStatus::TimedOut),
+        self.report_outcome_with(outcome, None)
+    }
+
+    /// [`TwoPhaseTuner::report_outcome`] for a site, whose iteration record
+    /// also carries the site's `traffic`. Every report resolves here, and
+    /// emits the iteration's one trace record.
+    pub(crate) fn report_outcome_with(
+        &mut self,
+        outcome: MeasureOutcome,
+        traffic: Option<Traffic>,
+    ) -> TwoPhaseSample {
+        let (algorithm, config) = self.pending.take().expect("report() without next()");
+        let (status, value) = match outcome {
+            MeasureOutcome::Ok(v) if v.is_finite() => (MeasureStatus::Ok, v),
+            MeasureOutcome::Ok(_) | MeasureOutcome::Failed(_) => (
+                MeasureStatus::Failed,
+                failure_penalty(self.strategy.histories()),
+            ),
+            MeasureOutcome::TimedOut => (
+                MeasureStatus::TimedOut,
+                failure_penalty(self.strategy.histories()),
+            ),
+        };
+        // Before the strategy records the sample, so the weights are the
+        // ones phase 2 selected by: `select` changes only the RNG, which
+        // `weights_into` does not read.
+        telemetry::emit(|| {
+            // A stack buffer: recording must not allocate.
+            let mut weights = [0.0f64; MAX_TRACKED_ALGORITHMS];
+            let n = self.strategy.num_algorithms().min(MAX_TRACKED_ALGORITHMS);
+            self.strategy.weights_into(&mut weights[..n]);
+            EventKind::Iteration {
+                iteration: self.iteration as u64,
+                algorithm: algorithm as u16,
+                status,
+                runtime_ms: value,
+                weights: WeightSet::from_slice(&weights[..n]),
+                traffic,
+            }
+        });
+        self.searchers[algorithm].report(value);
+        let failed = status != MeasureStatus::Ok;
+        if failed {
+            self.strategy.report_failure(algorithm);
+            self.failures[algorithm] += 1;
+            // The penalty is deliberately *not* a candidate for `best`.
+        } else {
+            self.strategy.report(algorithm, value);
+            // Track the global optimum over (A, C) pairs.
+            if self.best.as_ref().is_none_or(|(_, _, b)| value < *b) {
+                self.best = Some((algorithm, config.clone(), value));
+            }
         }
+        let sample = TwoPhaseSample {
+            iteration: self.iteration,
+            algorithm,
+            config,
+            value,
+            failed,
+        };
+        self.iteration += 1;
+        sample
     }
 
     /// Convenience: run one full iteration against a measurement function

@@ -29,12 +29,12 @@
 //! the logical key forever. Artifacts: `results/contexts.json` plus the
 //! raw trace in `results/contexts_trace.jsonl`.
 
-use crate::sortstudy::{tuning_iteration, CONV_TOLERANCE, CONV_WINDOW};
+use crate::sortstudy::{measurements, tuning_iteration, CONV_TOLERANCE, CONV_WINDOW};
 use autotune::json::Json;
 use autotune::rng::Rng;
 use autotune::robust::MeasureOutcome;
 use autotune::stats;
-use autotune::telemetry::{self, export, Event, EventKind, MeasureStatus};
+use autotune::telemetry::{self, export, Event};
 use autotune::two_phase::NominalKind;
 use smallsort::{
     nearly_sorted_input, SortKey, SortSites, ALGORITHM_NAMES, PRESORT_NAMES, PRESORT_NEARLY_SORTED,
@@ -104,7 +104,7 @@ pub struct KeyTable {
     pub context: u32,
     /// Sort requests dispatched to this key.
     pub requests: u64,
-    /// Measured tuning iterations (successful `MeasureOutcome` events).
+    /// Measured tuning iterations (successful `iteration` records).
     pub measured: u64,
     /// Per-algorithm measurement counts, indexed like [`ALGORITHM_NAMES`].
     pub selections: Vec<u64>,
@@ -232,25 +232,9 @@ fn drive(tables: &[&SortSites], keys: &[SortKey], requests: usize, rng: &mut Rng
     }
 }
 
-/// Measured runtimes and algorithm picks of one context, in trace order.
-fn context_measurements(events: &[Event], context: u32) -> Vec<(usize, f64)> {
-    events
-        .iter()
-        .filter(|e| e.context == context)
-        .filter_map(|e| match e.kind {
-            EventKind::MeasureOutcome {
-                algorithm,
-                status: MeasureStatus::Ok,
-                runtime_ms,
-            } => Some((algorithm as usize, runtime_ms)),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Build one key's table from its context-filtered trace measurements.
 fn table_for(key: SortKey, context: u32, requests: u64, events: &[Event]) -> KeyTable {
-    let measurements = context_measurements(events, context);
+    let measurements = measurements(events, |e| e.context == context);
     let mut selections = vec![0u64; ALGORITHM_NAMES.len()];
     for &(a, _) in &measurements {
         selections[a] += 1;
@@ -272,12 +256,7 @@ fn table_for(key: SortKey, context: u32, requests: u64, events: &[Event]) -> Key
         stats::median(&runtimes[..runtimes.len().min(CONV_WINDOW)])
     };
     let converged_after = (runtimes.len() >= 2 * CONV_WINDOW)
-        .then(|| {
-            (CONV_WINDOW..=runtimes.len()).find(|&i| {
-                let m = stats::median(&runtimes[i - CONV_WINDOW..i]);
-                (m - final_median_ms).abs() <= final_median_ms * CONV_TOLERANCE
-            })
-        })
+        .then(|| stats::settled_after(&runtimes, CONV_WINDOW, final_median_ms, CONV_TOLERANCE))
         .flatten();
     KeyTable {
         class: key.class,

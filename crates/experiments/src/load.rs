@@ -386,13 +386,25 @@ mod tests {
 
     #[test]
     fn stream_validation_accepts_complete_prefix() {
-        use autotune::telemetry::{Event, EventKind};
+        use autotune::telemetry::{Event, EventKind, MeasureStatus, Traffic, WeightSet};
         let events = vec![
             Event {
                 t_us: 10,
-                site: u16::MAX,
+                site: 3,
                 context: u32::MAX,
-                kind: EventKind::IterationStart { iteration: 1 },
+                kind: EventKind::Iteration {
+                    iteration: 1,
+                    algorithm: 0,
+                    status: MeasureStatus::Ok,
+                    runtime_ms: 0.5,
+                    weights: WeightSet::from_slice(&[0.5, 0.5]),
+                    traffic: Some(Traffic {
+                        calls: 9,
+                        backed_off: 7,
+                        contended: 0,
+                        timed: 7,
+                    }),
+                },
             },
             Event {
                 t_us: 20,

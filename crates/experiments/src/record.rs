@@ -159,7 +159,7 @@ pub struct RunSummary {
     pub strategy: String,
     /// Algorithm names in selection order (from the run-meta header).
     pub algorithms: Vec<String>,
-    /// Number of `iteration-start` events in the trace.
+    /// Number of `iteration` records in the trace.
     pub iterations: u64,
     /// Successful measurements.
     pub ok: u64,
@@ -201,32 +201,31 @@ pub fn entropy_bits(counts: &[u64]) -> f64 {
 pub fn summarize(meta: &RunMeta, events: &[Event]) -> RunSummary {
     let num_algorithms = meta.algorithms.len().max(1);
     let mut iterations = 0u64;
-    let mut current_iteration = 0u64;
     let mut ok = 0u64;
     let mut failures = 0u64;
     let mut runtimes: Vec<(u64, f64)> = Vec::new();
     let mut picks: Vec<usize> = Vec::new();
     let mut final_weights = Vec::new();
     for e in events {
-        match &e.kind {
-            EventKind::IterationStart { iteration } => {
-                iterations += 1;
-                current_iteration = *iteration;
-            }
-            EventKind::AlgorithmSelected { algorithm, weights } => {
-                picks.push(*algorithm as usize);
-                final_weights = weights.as_slice().iter().map(|&w| w as f64).collect();
-            }
-            EventKind::MeasureOutcome {
-                status, runtime_ms, ..
-            } => match status {
+        if let EventKind::Iteration {
+            iteration,
+            algorithm,
+            status,
+            runtime_ms,
+            weights,
+            ..
+        } = &e.kind
+        {
+            iterations += 1;
+            picks.push(*algorithm as usize);
+            final_weights = weights.as_slice().iter().map(|&w| w as f64).collect();
+            match status {
                 MeasureStatus::Ok => {
                     ok += 1;
-                    runtimes.push((current_iteration, *runtime_ms));
+                    runtimes.push((*iteration, *runtime_ms));
                 }
                 MeasureStatus::Failed | MeasureStatus::TimedOut => failures += 1,
-            },
-            _ => {}
+            }
         }
     }
 
@@ -450,8 +449,19 @@ mod tests {
     use super::*;
     use autotune::telemetry::WeightSet;
 
-    fn ev(t_us: u64, kind: EventKind) -> Event {
-        Event::untagged(t_us, kind)
+    /// An untagged iteration record of a direct tuner.
+    fn record(iteration: u64, algorithm: u16, status: MeasureStatus, runtime_ms: f64) -> Event {
+        Event::untagged(
+            iteration,
+            EventKind::Iteration {
+                iteration,
+                algorithm,
+                status,
+                runtime_ms,
+                weights: WeightSet::from_slice(&[0.25, 0.75]),
+                traffic: None,
+            },
+        )
     }
 
     fn meta() -> RunMeta {
@@ -472,56 +482,10 @@ mod tests {
 
     #[test]
     fn summarize_reconstructs_convergence() {
-        let w = WeightSet::from_slice(&[0.25, 0.75]);
         let events = vec![
-            ev(0, EventKind::IterationStart { iteration: 0 }),
-            ev(
-                1,
-                EventKind::AlgorithmSelected {
-                    algorithm: 0,
-                    weights: w,
-                },
-            ),
-            ev(
-                2,
-                EventKind::MeasureOutcome {
-                    algorithm: 0,
-                    status: MeasureStatus::Ok,
-                    runtime_ms: 10.0,
-                },
-            ),
-            ev(3, EventKind::IterationStart { iteration: 1 }),
-            ev(
-                4,
-                EventKind::AlgorithmSelected {
-                    algorithm: 1,
-                    weights: w,
-                },
-            ),
-            ev(
-                5,
-                EventKind::MeasureOutcome {
-                    algorithm: 1,
-                    status: MeasureStatus::Failed,
-                    runtime_ms: 40.0,
-                },
-            ),
-            ev(6, EventKind::IterationStart { iteration: 2 }),
-            ev(
-                7,
-                EventKind::AlgorithmSelected {
-                    algorithm: 1,
-                    weights: w,
-                },
-            ),
-            ev(
-                8,
-                EventKind::MeasureOutcome {
-                    algorithm: 1,
-                    status: MeasureStatus::Ok,
-                    runtime_ms: 5.0,
-                },
-            ),
+            record(0, 0, MeasureStatus::Ok, 10.0),
+            record(1, 1, MeasureStatus::Failed, 40.0),
+            record(2, 1, MeasureStatus::Ok, 5.0),
         ];
         let s = summarize(&meta(), &events);
         assert_eq!(s.iterations, 3);
@@ -554,25 +518,7 @@ mod tests {
     fn report_round_trips_through_files() {
         let dir = std::env::temp_dir().join(format!("record_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let w = WeightSet::from_slice(&[1.0]);
-        let events = vec![
-            ev(0, EventKind::IterationStart { iteration: 0 }),
-            ev(
-                1,
-                EventKind::AlgorithmSelected {
-                    algorithm: 0,
-                    weights: w,
-                },
-            ),
-            ev(
-                2,
-                EventKind::MeasureOutcome {
-                    algorithm: 0,
-                    status: MeasureStatus::Ok,
-                    runtime_ms: 2.5,
-                },
-            ),
-        ];
+        let events = vec![record(0, 0, MeasureStatus::Ok, 2.5)];
         let m = RunMeta {
             case_study: "cs1".into(),
             strategy: "solo".into(),

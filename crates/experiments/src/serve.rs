@@ -400,13 +400,7 @@ fn reconvergence_iterations(runtimes: &[f64], start: usize) -> Option<(usize, f6
     }
     // The "new optimum": the converged end of the post-restart regime.
     let settled = stats::median(&tail[tail.len() - tail.len().min(4 * RECONV_WINDOW)..]);
-    for i in RECONV_WINDOW..=tail.len() {
-        let m = stats::median(&tail[i - RECONV_WINDOW..i]);
-        if (m - settled).abs() <= settled * RECONV_TOLERANCE {
-            return Some((i, settled));
-        }
-    }
-    None
+    stats::settled_after(tail, RECONV_WINDOW, settled, RECONV_TOLERANCE).map(|i| (i, settled))
 }
 
 /// The drift episode of one site as JSON: per restart, where the morph

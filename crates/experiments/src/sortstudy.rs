@@ -30,8 +30,8 @@
 //! timed once on the guard's clock; those calls teach the tuner nothing,
 //! so the driver abandons them before any sort runs. A class's N
 //! requests are therefore its first N tuning iterations, back to back,
-//! and every `MeasureOutcome` in the trace is a batched measurement the
-//! tuner itself read.
+//! and every `iteration` record in the trace is a batched measurement
+//! the tuner itself read.
 
 use autotune::json::Json;
 use autotune::rng::Rng;
@@ -91,7 +91,7 @@ pub struct ClassTable {
     pub tag: u16,
     /// Sort requests dispatched to this class.
     pub requests: u64,
-    /// Measured tuning iterations (successful `MeasureOutcome` events).
+    /// Measured tuning iterations (successful `iteration` records).
     pub measured: u64,
     /// Per-algorithm measurement counts, indexed like
     /// [`smallsort::ALGORITHM_NAMES`].
@@ -180,16 +180,18 @@ pub fn tuning_iteration(sites: &SortSites, data: &mut [u64]) -> SortKey {
     key
 }
 
-/// Measured runtimes and algorithm picks of one class, in trace order.
-fn class_measurements(events: &[Event], tag: u16) -> Vec<(usize, f64)> {
+/// The algorithm picks and measured runtimes of the successful tuning
+/// iterations among the `keep` events, in trace order.
+pub(crate) fn measurements(events: &[Event], keep: impl Fn(&Event) -> bool) -> Vec<(usize, f64)> {
     events
         .iter()
-        .filter(|e| e.site == tag)
+        .filter(|e| keep(e))
         .filter_map(|e| match e.kind {
-            EventKind::MeasureOutcome {
+            EventKind::Iteration {
                 algorithm,
                 status: MeasureStatus::Ok,
                 runtime_ms,
+                ..
             } => Some((algorithm as usize, runtime_ms)),
             _ => None,
         })
@@ -215,12 +217,8 @@ fn table_for(class: u32, tag: u16, requests: u64, measurements: &[(usize, f64)])
     } else {
         stats::median(&runtimes[runtimes.len() - tail_len..])
     };
-    let converged_after = (runtimes.len() >= 2 * CONV_WINDOW).then(|| {
-        (CONV_WINDOW..=runtimes.len()).find(|&i| {
-            let m = stats::median(&runtimes[i - CONV_WINDOW..i]);
-            (m - final_median_ms).abs() <= final_median_ms * CONV_TOLERANCE
-        })
-    });
+    let converged_after = (runtimes.len() >= 2 * CONV_WINDOW)
+        .then(|| stats::settled_after(&runtimes, CONV_WINDOW, final_median_ms, CONV_TOLERANCE));
     ClassTable {
         class,
         tag,
@@ -251,7 +249,12 @@ pub fn run_study(cfg: &SortStudyConfig) -> SortStudy {
         .iter()
         .map(|&(class, requests)| {
             let tag = sites.class_site(class).id().tag();
-            table_for(class, tag, requests, &class_measurements(&events, tag))
+            table_for(
+                class,
+                tag,
+                requests,
+                &measurements(&events, |e| e.site == tag),
+            )
         })
         .collect();
     SortStudy {
@@ -401,7 +404,7 @@ mod tests {
                 .filter(|e| {
                     matches!(
                         e.kind,
-                        EventKind::MeasureOutcome {
+                        EventKind::Iteration {
                             status: MeasureStatus::Ok,
                             ..
                         }
@@ -415,13 +418,13 @@ mod tests {
             );
             // Every measured call was a tuning iteration, even after the
             // class site plateaued and started backing off.
-            let starts_for_tag = events
+            let iterations_for_tag = events
                 .iter()
                 .filter(|e| e.site == t.tag)
-                .filter(|e| matches!(e.kind, EventKind::IterationStart { .. }))
+                .filter(|e| matches!(e.kind, EventKind::Iteration { .. }))
                 .count() as u64;
             assert_eq!(
-                t.measured, starts_for_tag,
+                t.measured, iterations_for_tag,
                 "class {}: a measurement without a tuning iteration",
                 t.class
             );

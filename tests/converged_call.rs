@@ -13,8 +13,8 @@ use autotune::param::Parameter;
 use autotune::robust::MeasureOutcome;
 use autotune::site::{register, site, Site, SiteSpec};
 use autotune::space::SearchSpace;
-use autotune::telemetry::{self, EventKind};
-use autotune::two_phase::{AlgorithmSpec, NominalKind};
+use autotune::telemetry::{self, EventKind, Traffic, NO_SITE};
+use autotune::two_phase::{AlgorithmSpec, NominalKind, TwoPhaseTuner};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::{Duration, Instant};
@@ -162,31 +162,90 @@ fn untuned_calls_allocate_nothing_with_telemetry_off_and_on() {
 
     telemetry::enable();
     let s = converged_calls_allocate_nothing("converged/alloc-on", 2);
-    // The trace holds the site's tuned iterations, each with one traffic
-    // summary, and no event of a successful untuned call.
+    // The site's trace is one iteration record per tuned iteration, in
+    // order, each with the site's traffic, and no other event: a
+    // successful untuned call pushes none.
     let tag = s.id().tag();
-    let (mut outcomes, mut summaries) = (0, 0);
-    for e in telemetry::snapshot().iter().filter(|e| e.site == tag) {
-        match e.kind {
-            EventKind::MeasureOutcome { .. } => outcomes += 1,
-            EventKind::SiteTraffic {
-                calls,
-                backed_off,
-                contended,
-                timed,
-            } => {
-                summaries += 1;
-                assert!(timed <= backed_off + contended && backed_off + contended <= calls);
-            }
-            _ => {}
-        }
+    let events: Vec<_> = telemetry::snapshot()
+        .into_iter()
+        .filter(|e| e.site == tag)
+        .collect();
+    assert_eq!(events.len() as u64, s.tuned_iterations());
+    for (i, e) in events.iter().enumerate() {
+        let EventKind::Iteration {
+            iteration,
+            traffic:
+                Some(Traffic {
+                    calls,
+                    backed_off,
+                    contended,
+                    timed,
+                }),
+            ..
+        } = e.kind
+        else {
+            panic!("event {i} is not a site's iteration record: {e:?}");
+        };
+        assert_eq!(iteration, i as u64);
+        assert!(timed <= backed_off + contended && backed_off + contended <= calls);
     }
-    assert!(summaries > 0);
-    assert_eq!(
-        outcomes, summaries,
-        "one measure-outcome per tuned iteration"
-    );
     assert!(s.timed() <= s.contended() + s.backed_off());
+
+    a_direct_tuner_traces_one_record_per_step();
+}
+
+/// A direct tuner's `N` steps trace `N` records numbered `0..N`, without
+/// site or traffic, each with the weights phase 2 selected by: under
+/// ε-Greedy, `1 − ε + ε/|𝒜|` on the exploitation target at selection
+/// (the next unseen algorithm, then the best-known one) and `ε/|𝒜|` on
+/// the others. Weights taken after the sample was recorded would move
+/// the target on every initialization step.
+fn a_direct_tuner_traces_one_record_per_step() {
+    const EPSILON: f64 = 0.10;
+    const STEPS: u64 = 200;
+    // A context id no table of this binary assigns marks the records.
+    const CONTEXT: u32 = 0xD1_EC7;
+    let specs = ["slow", "fast", "mid"]
+        .iter()
+        .map(|name| AlgorithmSpec::untunable(*name))
+        .collect();
+    let mut tuner = TwoPhaseTuner::new(specs, NominalKind::EpsilonGreedy(EPSILON), 5);
+    let targets: Vec<usize> = telemetry::with_context(CONTEXT, || {
+        (0..STEPS)
+            .map(|_| {
+                let counts = tuner.selection_counts();
+                let unseen = counts.iter().position(|&c| c == 0);
+                let target = unseen.or(tuner.best_algorithm()).unwrap();
+                tuner.step(|a, _| [3.0, 1.0, 2.0][a]);
+                target
+            })
+            .collect()
+    });
+    let records: Vec<_> = telemetry::snapshot()
+        .into_iter()
+        .filter(|e| e.context == CONTEXT)
+        .collect();
+    assert_eq!(records.len() as u64, STEPS);
+    let explore = EPSILON / 3.0;
+    for (i, (e, &target)) in records.iter().zip(&targets).enumerate() {
+        let EventKind::Iteration {
+            iteration,
+            weights,
+            traffic,
+            ..
+        } = e.kind
+        else {
+            panic!("event {i} is not an iteration record: {e:?}");
+        };
+        assert_eq!((e.site, iteration, traffic), (NO_SITE, i as u64, None));
+        let expected: Vec<f32> = (0..3)
+            .map(|a| {
+                let exploit = if a == target { 1.0 - EPSILON } else { 0.0 };
+                (explore + exploit) as f32
+            })
+            .collect();
+        assert_eq!(weights.as_slice(), expected, "iteration {i}");
+    }
 }
 
 /// A body of roughly 50 ns.

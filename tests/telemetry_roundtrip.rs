@@ -9,7 +9,7 @@ use autotune::telemetry::export::{
 };
 use autotune::telemetry::ring::EventRing;
 use autotune::telemetry::{
-    Event, EventKind, MeasureStatus, Recorder, SimplexOp, SpanKind, WeightSet,
+    Event, EventKind, MeasureStatus, Recorder, SpanKind, Traffic, WeightSet,
 };
 
 /// Draw one arbitrary event. Weights use a dyadic grid so the f64 → f32
@@ -31,73 +31,52 @@ fn arbitrary_event(rng: &mut Rng) -> Event {
         autotune::telemetry::NO_CONTEXT
     };
     let algorithm = rng.next_below(16) as u16;
-    let kind = match rng.next_below(10) {
-        0 => EventKind::IterationStart {
-            iteration: rng.next_below(1 << 32),
-        },
-        1 => {
+    let statuses = [
+        MeasureStatus::Ok,
+        MeasureStatus::Failed,
+        MeasureStatus::TimedOut,
+    ];
+    let span = if rng.next_bool(0.5) {
+        SpanKind::Search
+    } else {
+        SpanKind::Frame
+    };
+    let kind = match rng.next_below(7) {
+        0 => {
             let n = rng.pick_index(17);
             let weights: Vec<f64> = (0..n)
                 .map(|_| rng.next_below(1 << 20) as f64 / 1024.0)
                 .collect();
-            EventKind::AlgorithmSelected {
-                algorithm,
-                weights: WeightSet::from_slice(&weights),
-            }
-        }
-        2 => {
-            let ops = [
-                SimplexOp::Init,
-                SimplexOp::Reflect,
-                SimplexOp::Expand,
-                SimplexOp::ContractOutside,
-                SimplexOp::ContractInside,
-                SimplexOp::Shrink,
-                SimplexOp::Exploit,
-            ];
-            EventKind::Phase1Step {
-                op: ops[rng.pick_index(ops.len())],
-            }
-        }
-        3 => {
-            let statuses = [
-                MeasureStatus::Ok,
-                MeasureStatus::Failed,
-                MeasureStatus::TimedOut,
-            ];
-            EventKind::MeasureOutcome {
+            // Records with and without a site's traffic counters.
+            let traffic = rng.next_bool(0.5).then(|| Traffic {
+                calls: rng.next_below(1 << 50),
+                backed_off: rng.next_below(1 << 50),
+                contended: rng.next_below(1 << 50),
+                timed: rng.next_below(1 << 50),
+            });
+            EventKind::Iteration {
+                iteration: rng.next_below(1 << 32),
                 algorithm,
                 status: statuses[rng.pick_index(statuses.len())],
                 runtime_ms: rng.next_below(1 << 50) as f64 / 1024.0,
+                weights: WeightSet::from_slice(&weights),
+                traffic,
             }
         }
-        4 => EventKind::PenaltyApplied {
+        1 => EventKind::MeasureOutcome {
+            algorithm,
+            status: statuses[rng.pick_index(statuses.len())],
+            runtime_ms: rng.next_below(1 << 50) as f64 / 1024.0,
+        },
+        2 => EventKind::PenaltyApplied {
             algorithm,
             penalty_ms: rng.next_below(1 << 50) as f64 / 1024.0,
         },
-        5 => EventKind::WindowEvicted {
-            algorithm,
-            evicted_sample: rng.next_below(1 << 32),
-        },
-        6 => EventKind::SpanBegin {
-            span: if rng.next_bool(0.5) {
-                SpanKind::Search
-            } else {
-                SpanKind::Frame
-            },
-        },
-        7 => EventKind::SpanEnd {
-            span: if rng.next_bool(0.5) {
-                SpanKind::Search
-            } else {
-                SpanKind::Frame
-            },
-        },
-        8 => EventKind::SiteTraffic {
-            calls: rng.next_below(1 << 50),
-            backed_off: rng.next_below(1 << 50),
-            contended: rng.next_below(1 << 50),
-            timed: rng.next_below(1 << 50),
+        3 => EventKind::SpanBegin { span },
+        4 => EventKind::SpanEnd { span },
+        5 => EventKind::DriftDetected {
+            baseline_ms: rng.next_below(1 << 50) as f64 / 1024.0,
+            observed_ms: rng.next_below(1 << 50) as f64 / 1024.0,
         },
         _ => EventKind::QueueDepth {
             depth: rng.next_below(1 << 20) as u32,
@@ -149,7 +128,10 @@ fn ring_overwrites_oldest_without_reallocating() {
     for i in 0..10_000u64 {
         ring.push(Event::untagged(
             i,
-            EventKind::IterationStart { iteration: i },
+            EventKind::QueueDepth {
+                depth: i as u32,
+                workers: 1,
+            },
         ));
     }
     assert_eq!(ring.as_ptr(), base, "ring storage moved");
@@ -176,21 +158,19 @@ fn recorded_tuning_run_survives_export_parse_cycle() {
     let mut tuner = TwoPhaseTuner::new(specs, NominalKind::EpsilonGreedy(0.10), 9);
     for i in 0..50u64 {
         let (alg, _config) = tuner.next();
-        recorder.record(EventKind::IterationStart { iteration: i });
-        recorder.record(EventKind::AlgorithmSelected {
-            algorithm: alg as u16,
-            weights: WeightSet::from_slice(&[0.5, 0.5]),
-        });
         let runtime = if alg == 0 { 1.0 } else { 4.0 };
-        recorder.record(EventKind::MeasureOutcome {
+        recorder.record(EventKind::Iteration {
+            iteration: i,
             algorithm: alg as u16,
             status: MeasureStatus::Ok,
             runtime_ms: runtime,
+            weights: WeightSet::from_slice(&[0.5, 0.5]),
+            traffic: None,
         });
         tuner.report(runtime);
     }
     let events = recorder.drain();
-    assert_eq!(events.len(), 150);
+    assert_eq!(events.len(), 50);
 
     let meta = RunMeta {
         case_study: "test".into(),
@@ -202,10 +182,11 @@ fn recorded_tuning_run_survives_export_parse_cycle() {
     assert_eq!(log.events, events);
 
     // The Chrome export of the same run must be a valid, reparseable
-    // trace: one row per event, plus the process-name metadata row, plus
-    // one extra "weights" counter row per algorithm selection.
+    // trace: the process-name metadata row, then per record one instant
+    // row and one "weights" counter row (a record without traffic has no
+    // traffic counter row).
     let trace = chrome_trace(&events);
     let reparsed = autotune::json::Json::parse(&trace.to_string()).unwrap();
     let rows = reparsed.get("traceEvents").unwrap().as_arr().unwrap();
-    assert_eq!(rows.len(), events.len() + 1 + 50);
+    assert_eq!(rows.len(), 1 + 2 * events.len());
 }
