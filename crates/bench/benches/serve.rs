@@ -10,10 +10,15 @@
 //!   framing, payload routing, drift monitoring and response
 //!   serialization, but no sockets.
 //! * **served** — the real thing: `autotune::serve` on a loopback TCP
-//!   socket, driven by a deeply pipelined client. Throughput is measured
-//!   over a long sustained run; p99 comes from a separate ping-pong phase
-//!   (one request in flight) so the tail is a true round trip, not a
-//!   batch artifact.
+//!   socket, driven by a deeply pipelined client. p99 comes from a
+//!   separate ping-pong phase (one request in flight) so the tail is a
+//!   true round trip, not a batch artifact.
+//!
+//! The three legs take their stretches of requests in turn, each stretch
+//! timed as one span, and each leg reports the median of its stretches:
+//! a burst of host noise then hits every leg, not whichever one ran
+//! during it. Served throughput is the served stretches' requests over
+//! their summed time.
 //! * **co-located ping-pong** — a second server and client, both threads
 //!   pinned to one CPU (`sched_setaffinity`, Linux only), so every round
 //!   trip hands that CPU from the client to the server and back, and a
@@ -25,7 +30,7 @@
 //! across the pipeline batch) must stay a thin veneer on the tuned work.
 //!
 //! Persists `BENCH_serve.json` at the workspace root. `BENCH_QUICK=1`
-//! shrinks the sustained run and skips the overhead assertion (shared CI
+//! shrinks the stretches and skips the overhead assertion (shared CI
 //! machines cannot hold a 15% bar).
 
 use autotune::json::Json;
@@ -33,12 +38,10 @@ use autotune::serve::protocol::{self, OP_MATCH};
 use autotune::serve::{Client, LatencyHist, RequestHandler, ServeConfig, ServeReport, StopFlag};
 use autotune::site::{register, site};
 use autotune::two_phase::NominalKind;
-use bench::harness::{BenchResult, Criterion};
 use experiments::serve::{AppHandler, ServeOptions};
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
-const GROUP: &str = "serve_dispatch";
 const CORPUS_KB: usize = 64;
 
 fn opts(seed: u64) -> ServeOptions {
@@ -49,41 +52,7 @@ fn opts(seed: u64) -> ServeOptions {
     }
 }
 
-/// In-process legs: bare site dispatch vs the full request handler.
-fn bench_in_process(c: &mut Criterion) {
-    let mut group = c.benchmark_group(GROUP);
-    group
-        .sample_size(30)
-        .measurement_time(Duration::from_secs(2));
-
-    // The same work the serve handler performs per OP_MATCH, minus every
-    // serving layer: the honest baseline.
-    let s = site(register(stringmatch::tuned::search_site_spec(
-        "bench-serve-direct",
-        NominalKind::EpsilonGreedy(0.10),
-        5001,
-    )));
-    let matchers = stringmatch::tuned::site_matchers();
-    let corpus = stringmatch::corpus::bible_like_with(5001, CORPUS_KB << 10, 250);
-    group.bench_function("direct", |b| {
-        b.iter(|| {
-            stringmatch::tuned::match_request(s, &matchers, stringmatch::PAPER_QUERY, &corpus)
-        })
-    });
-
-    // Handler dispatch: framing + routing + drift monitor, no sockets.
-    let mut handler = AppHandler::new(&opts(5002));
-    let mut out = Vec::new();
-    group.bench_function("handler", |b| {
-        b.iter(|| {
-            out.clear();
-            handler.handle(OP_MATCH, stringmatch::PAPER_QUERY, &mut out)
-        })
-    });
-    group.finish();
-}
-
-/// Pipelined requests per batch on the sustained and warm-up phases.
+/// Pipelined requests per batch on the served leg and its warm-up.
 const BATCH: usize = 64;
 
 /// Send `n` `OP_MATCH` requests in pipelined batches, checking every
@@ -104,6 +73,77 @@ fn run_batches(client: &mut Client, n: u64) {
             assert_eq!(op, OP_MATCH, "server answered {op:#x}");
         }
         left -= k as u64;
+    }
+}
+
+/// Median ns per request of each leg, from stretches taken in turn.
+struct Legs {
+    direct_ns: f64,
+    handler_ns: f64,
+    served_ns: f64,
+    served_throughput_rps: f64,
+}
+
+/// The three legs, `rounds` stretches of `stretch` requests each, taken
+/// in turn after a warm-up past the exploration phase (so every leg
+/// measures the converged regime). The served leg's client stays
+/// connected for the ping-pong phase.
+fn bench_legs(client: &mut Client, rounds: usize, stretch: u64) -> Legs {
+    // The same work the serve handler performs per OP_MATCH, minus every
+    // serving layer: the honest baseline.
+    let s = site(register(stringmatch::tuned::search_site_spec(
+        "bench-serve-direct",
+        NominalKind::EpsilonGreedy(0.10),
+        5001,
+    )));
+    let matchers = stringmatch::tuned::site_matchers();
+    let corpus = stringmatch::corpus::bible_like_with(5001, CORPUS_KB << 10, 250);
+    let direct = || {
+        std::hint::black_box(stringmatch::tuned::match_request(
+            s,
+            &matchers,
+            stringmatch::PAPER_QUERY,
+            &corpus,
+        ));
+    };
+    // Handler dispatch: framing + routing + drift monitor, no sockets.
+    let mut handler = AppHandler::new(&opts(5002));
+    let mut out = Vec::new();
+    let mut handle = || {
+        out.clear();
+        std::hint::black_box(handler.handle(OP_MATCH, stringmatch::PAPER_QUERY, &mut out));
+    };
+
+    let warmup = stretch * rounds as u64 / 10 + 512;
+    for _ in 0..warmup {
+        direct();
+        handle();
+    }
+    run_batches(client, warmup);
+
+    let ns_per_request = |start: Instant| start.elapsed().as_nanos() as f64 / stretch as f64;
+    let mut ns = [Vec::new(), Vec::new(), Vec::new()];
+    for _ in 0..rounds {
+        let start = Instant::now();
+        (0..stretch).for_each(|_| direct());
+        ns[0].push(ns_per_request(start));
+        let start = Instant::now();
+        (0..stretch).for_each(|_| handle());
+        ns[1].push(ns_per_request(start));
+        let start = Instant::now();
+        run_batches(client, stretch);
+        ns[2].push(ns_per_request(start));
+    }
+    let served_total_ns: f64 = ns[2].iter().sum::<f64>() * stretch as f64;
+    let [direct_ns, handler_ns, served_ns] = ns.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[rounds / 2]
+    });
+    Legs {
+        direct_ns,
+        handler_ns,
+        served_ns,
+        served_throughput_rps: (rounds as u64 * stretch) as f64 / (served_total_ns * 1e-9),
     }
 }
 
@@ -152,35 +192,6 @@ fn connect(addr: std::net::SocketAddr) -> Client {
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     client
-}
-
-/// The served leg: spawn the real server on loopback, measure a sustained
-/// pipelined phase and a ping-pong latency phase. Returns
-/// `(per_request_ns, throughput_rps, requests, p50_us, p99_us)`.
-fn bench_served(sustained: u64, pingpong: u64) -> (f64, f64, u64, f64, f64) {
-    let (addr, stop, server) = spawn_server(5003, || {});
-    let mut client = connect(addr);
-
-    // Warm up past the exploration phase so the sustained phase measures
-    // the converged regime (as the direct leg's median does).
-    run_batches(&mut client, sustained / 10 + 512);
-    let start = Instant::now();
-    run_batches(&mut client, sustained);
-    let elapsed = start.elapsed().as_secs_f64();
-    let per_request_ns = elapsed * 1e9 / sustained as f64;
-    let throughput = sustained as f64 / elapsed;
-    let hist = ping_pong(&mut client, pingpong);
-
-    stop.stop();
-    let report = server.join().expect("server thread").expect("serve ok");
-    assert!(report.requests > sustained, "server saw the whole run");
-    (
-        per_request_ns,
-        throughput,
-        report.requests,
-        hist.quantile(0.50) / 1e3,
-        hist.quantile(0.99) / 1e3,
-    )
 }
 
 /// Pins this bench's own threads to one CPU.
@@ -240,28 +251,30 @@ fn bench_colocated(_warmup: u64, _pingpong: u64) -> Option<(f64, f64)> {
     None
 }
 
-fn median_of(results: &[BenchResult], name: &str) -> Option<f64> {
-    results
-        .iter()
-        .find(|r| r.group == GROUP && r.name == name)
-        .map(|r| r.median_ns)
-}
-
 fn main() {
     let quick = std::env::var("BENCH_QUICK").is_ok_and(|v| v != "0");
 
-    let mut c = Criterion::default();
-    bench_in_process(&mut c);
-    c.final_summary();
-
-    let direct_ns = median_of(c.results(), "direct").expect("direct leg ran");
-    let handler_ns = median_of(c.results(), "handler").expect("handler leg ran");
-
-    let sustained: u64 = if quick { 20_000 } else { 1_000_000 };
+    let (rounds, stretch): (usize, u64) = if quick { (10, 500) } else { (100, 5_000) };
     let pingpong: u64 = if quick { 500 } else { 5_000 };
-    println!("\nserved leg: {sustained} pipelined requests + {pingpong} ping-pong probes…");
-    let (served_ns, throughput, server_requests, p50_us, p99_us) =
-        bench_served(sustained, pingpong);
+    let sustained = rounds as u64 * stretch;
+    println!(
+        "direct, handler and served legs in turn: {rounds} stretches of {stretch} requests \
+         each, then {pingpong} ping-pong probes…"
+    );
+    let (addr, stop, server) = spawn_server(5003, || {});
+    let mut client = connect(addr);
+    let Legs {
+        direct_ns,
+        handler_ns,
+        served_ns,
+        served_throughput_rps: throughput,
+    } = bench_legs(&mut client, rounds, stretch);
+    let hist = ping_pong(&mut client, pingpong);
+    let (p50_us, p99_us) = (hist.quantile(0.50) / 1e3, hist.quantile(0.99) / 1e3);
+    stop.stop();
+    let report = server.join().expect("server thread").expect("serve ok");
+    let server_requests = report.requests;
+    assert!(server_requests > sustained, "server saw the whole run");
     println!("co-located leg: client and server pinned to one CPU, {pingpong} ping-pong probes…");
     let colocated = bench_colocated(sustained / 10 + 512, pingpong);
 

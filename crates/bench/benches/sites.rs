@@ -3,7 +3,7 @@
 //! * **Dispatch overhead** — a tuning iteration through one site driven
 //!   single-threaded vs the same two-phase tuner driven directly, around
 //!   identical spin work, each call timed on its own. The site adds a
-//!   claim CAS, the tuning-rate decision, a seqlock publication, and a
+//!   countdown check, a claim CAS, a seqlock publication, and a
 //!   registry-slot indirection per tuning iteration; the acceptance bar
 //!   is ≤ 10% overhead. Both legs see a cost that keeps improving, so the
 //!   site never plateaus and every call of either tunes. A plateaued
@@ -20,7 +20,8 @@
 //!   parameters plateaus around a ~1 ns kernel, and the backed-off calls
 //!   in the 63-call stretches between its tuning calls are timed as one
 //!   stretch each: what an untuned call costs (heap-free decision read,
-//!   counters instead of a trace event, one clock pair per 64 calls).
+//!   thread-owned counters instead of a claim or a trace event, one clock
+//!   pair per 64 calls).
 //!   Run with telemetry off and on; on may cost at most 1.25× off.
 //! * **Convergence parity** — a sample of sites re-driven with synthetic
 //!   deterministic costs through N tuning iterations must run and report

@@ -50,7 +50,7 @@
 //! `smallsort::SortKey` (size class × presortedness) is the worked
 //! example.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -214,17 +214,25 @@ struct Binding<K> {
     /// Even while the binding is stable, odd while an eviction is
     /// retiring it ([`Binding::try_retire`]); a rebind advances it by 2.
     generation: AtomicU64,
-    /// Calls pinned to this binding: every dispatch's guard, and every
-    /// lock-free lookup while it validates. A pinned binding is never
-    /// rebound — the table grows instead (see [`ContextStats::overflows`]).
-    in_flight: AtomicUsize,
-    /// Table clock at the last dispatch.
-    last_used: AtomicU64,
     context: AtomicU32,
     /// [`hash_key`] of `key`.
     hash: AtomicU64,
     /// Written only by an eviction that won the handshake.
     key: UnsafeCell<K>,
+    /// What every dispatch writes, on a cache line of its own so the
+    /// writes do not evict the fields above, which every lookup reads.
+    hot: Hot,
+}
+
+/// The fields of a [`Binding`] that dispatch writes.
+#[repr(align(64))]
+struct Hot {
+    /// Calls pinned to the binding: every dispatch's guard, and every
+    /// lock-free lookup while it validates. A pinned binding is never
+    /// rebound — the table grows instead (see [`ContextStats::overflows`]).
+    in_flight: AtomicUsize,
+    /// Recency stamp of the last dispatch ([`stamp_after`]).
+    last_used: AtomicU64,
 }
 
 // SAFETY: every field but `key` is an atomic or immutable. `key` is
@@ -264,12 +272,12 @@ impl<K: ContextKey> Binding<K> {
     /// the generation stays odd until the rebind completes; a binding
     /// found busy gets its even generation back.
     fn try_retire(&self) -> bool {
-        if self.in_flight.load(Ordering::Relaxed) != 0 {
+        if self.hot.in_flight.load(Ordering::Relaxed) != 0 {
             return false; // visibly busy: not a candidate
         }
         let generation = self.generation.load(Ordering::Relaxed);
         self.generation.store(generation + 1, Ordering::SeqCst);
-        if self.in_flight.load(Ordering::SeqCst) == 0 {
+        if self.hot.in_flight.load(Ordering::SeqCst) == 0 {
             return true;
         }
         self.generation.store(generation, Ordering::Release);
@@ -325,16 +333,24 @@ impl Drop for InFlight {
     }
 }
 
-/// A table's LRU clock, advanced on every dispatch. It has a cache line
-/// of its own: every dispatch writes it, and every dispatch reads the
-/// index pointer, which a shared line would evict on each write.
-#[repr(align(64))]
-struct Clock(AtomicU64);
+thread_local! {
+    /// The latest recency stamp this thread has issued or read.
+    static STAMP: Cell<u64> = const { Cell::new(0) };
+}
 
-impl Clock {
-    fn tick(&self) -> u64 {
-        self.0.fetch_add(1, Ordering::Relaxed)
-    }
+/// A recency stamp for a binding this thread uses now: later than `seen`
+/// and than every stamp the thread issued before. Stamps are a Lamport
+/// clock per thread, so a dispatch writes only its binding's stamp and
+/// no table-wide clock. One thread's stamps strictly increase, so its
+/// eviction order is exactly LRU; threads that use the same bindings
+/// keep their clocks together, and every admission stamps past the
+/// whole pool.
+fn stamp_after(seen: u64) -> u64 {
+    STAMP.with(|stamp| {
+        let next = stamp.get().max(seen) + 1;
+        stamp.set(next);
+        next
+    })
 }
 
 /// Binding pointers by key hash, with linear probing: the lookup hint the
@@ -469,7 +485,6 @@ pub struct ContextSites<K: ContextKey> {
     spec_for: Box<dyn Fn(&K) -> SiteSpec + Send + Sync>,
     /// The current index, the last of `Inner::indexes`.
     index: AtomicPtr<Index<K>>,
-    clock: Clock,
     inner: Mutex<Inner<K>>,
 }
 
@@ -494,7 +509,6 @@ impl<K: ContextKey> ContextSites<K> {
             warm_start: true,
             spec_for: Box::new(spec_for),
             index: AtomicPtr::new(Arc::as_ptr(&index).cast_mut()),
-            clock: Clock(AtomicU64::new(0)),
             inner: Mutex::new(Inner {
                 pool: Vec::new(),
                 parked: HashMap::new(),
@@ -649,12 +663,16 @@ impl<K: ContextKey> ContextSites<K> {
             .probe(hash)
             .filter(|b| b.hash.load(Ordering::Relaxed) == hash)
             .find_map(|b| {
-                let pin = InFlight::enter(&b.in_flight);
+                let pin = InFlight::enter(&b.hot.in_flight);
                 // SAFETY: the key is read only after the pin and an even
                 // generation.
                 let hit = b.generation.load(Ordering::SeqCst) & 1 == 0 && unsafe { b.key() } == key;
                 hit.then(|| {
-                    b.last_used.store(self.clock.tick(), Ordering::Relaxed);
+                    let last_used = &b.hot.last_used;
+                    last_used.store(
+                        stamp_after(last_used.load(Ordering::Relaxed)),
+                        Ordering::Relaxed,
+                    );
                     (b.site, b.context(), pin)
                 })
             })
@@ -662,7 +680,11 @@ impl<K: ContextKey> ContextSites<K> {
 
     /// Admit `key`, not resident, under the lock.
     fn admit(&self, inner: &mut Inner<K>, key: &K, hash: u64) -> (Site, u32, InFlight) {
-        let now = self.clock.tick();
+        let latest = inner
+            .pool
+            .iter()
+            .map(|s| s.binding.hot.last_used.load(Ordering::Relaxed));
+        let now = stamp_after(latest.max().unwrap_or(0));
         // Build the incoming binding first: a parked tuner is reinstated
         // verbatim; a first-time key is warm-started from its nearest
         // neighbor's posterior when one exists (and warm-starting is on);
@@ -718,11 +740,13 @@ impl<K: ContextKey> ContextSites<K> {
                 let binding = Box::leak(Box::new(Binding {
                     site,
                     generation: AtomicU64::new(0),
-                    in_flight: AtomicUsize::new(0),
-                    last_used: AtomicU64::new(now),
                     context: AtomicU32::new(context),
                     hash: AtomicU64::new(hash),
                     key: UnsafeCell::new(key.clone()),
+                    hot: Hot {
+                        in_flight: AtomicUsize::new(0),
+                        last_used: AtomicU64::new(now),
+                    },
                 }));
                 inner.pool.push(PoolSlot {
                     binding,
@@ -747,7 +771,7 @@ impl<K: ContextKey> ContextSites<K> {
                 let old_key = std::mem::replace(unsafe { &mut *b.key.get() }, new_key);
                 let old_context = b.context.swap(context, Ordering::Relaxed);
                 b.hash.store(hash, Ordering::Relaxed);
-                b.last_used.store(now, Ordering::Relaxed);
+                b.hot.last_used.store(now, Ordering::Relaxed);
                 slot.calls_base = b.site.calls();
                 slot.tuned_base = b.site.tuned_iterations();
                 slot.carried = carried;
@@ -769,7 +793,7 @@ impl<K: ContextKey> ContextSites<K> {
         let slot = &mut inner.pool[i];
         slot.carried.admissions += 1;
         let b = slot.binding;
-        (b.site, context, InFlight::enter(&b.in_flight))
+        (b.site, context, InFlight::enter(&b.hot.in_flight))
     }
 
     /// The least recently used binding with no call in flight, retired
@@ -783,7 +807,7 @@ impl<K: ContextKey> ContextSites<K> {
         let mut lru: Vec<(u64, usize)> = pool
             .iter()
             .enumerate()
-            .map(|(i, s)| (s.binding.last_used.load(Ordering::Relaxed), i))
+            .map(|(i, s)| (s.binding.hot.last_used.load(Ordering::Relaxed), i))
             .collect();
         lru.sort_unstable();
         lru.into_iter()
@@ -891,7 +915,7 @@ impl ContextGuard {
 
     /// True when this call runs a tuning iteration whose measurement
     /// feeds the key's tuner; false when it runs the published exploit
-    /// decision — because it lost the claim race, or because the key's
+    /// decision — because it found the claim held, or because the key's
     /// tuning-rate controller backed it off (see
     /// [`crate::site::SiteGuard::is_tuning`]).
     pub fn is_tuning(&self) -> bool {

@@ -177,9 +177,14 @@ pub fn clock_pair_ms() -> f64 {
 
 /// Core of [`batched_time_ms`], parameterized over the clock so a
 /// deliberately quantized clock can drive the regression tests: time `k`
-/// back-to-back calls of `f`, growing `k` geometrically from 1 until the
-/// batch spans [`BATCH_TARGET_QUANTA`] × `resolution_ms` (or `k` hits
-/// [`MAX_BATCH`]), and return `(per_call_ms, k)`. `clock_ms` must be
+/// back-to-back calls of `f` until one batch spans
+/// [`BATCH_TARGET_QUANTA`] × `resolution_ms` (or `k` hits
+/// [`MAX_BATCH`]), and return `(per_call_ms, k)`. `k` doubles from 1
+/// until a batch spans an eighth of the target; that batch is the probe
+/// the next one is sized from, with a 25% margin, and `k` doubles again
+/// only if the sized batch falls short. So the calls run before the
+/// accepted batch are a fifth to a half as many as it holds, where
+/// doubling alone runs as many as it keeps. `clock_ms` must be
 /// monotonic; `resolution_ms` is its tick size.
 pub fn batched_time_ms_with(
     resolution_ms: f64,
@@ -188,6 +193,7 @@ pub fn batched_time_ms_with(
 ) -> (f64, usize) {
     let target_ms = resolution_ms * BATCH_TARGET_QUANTA;
     let mut batch = 1usize;
+    let mut sized = false;
     loop {
         let t0 = clock_ms();
         for _ in 0..batch {
@@ -197,7 +203,13 @@ pub fn batched_time_ms_with(
         if elapsed >= target_ms || batch >= MAX_BATCH {
             return (elapsed / batch as f64, batch);
         }
-        batch *= 2;
+        batch = if !sized && elapsed >= target_ms / 8.0 {
+            sized = true;
+            let k = (1.25 * target_ms / elapsed * batch as f64).ceil() as usize;
+            k.clamp(batch + 1, MAX_BATCH)
+        } else {
+            (2 * batch).min(MAX_BATCH)
+        };
     }
 }
 
@@ -744,6 +756,35 @@ mod tests {
         let (ms, batch) = batched_time_ms_with(1.0, &mut clock, &mut f);
         assert_eq!(batch, MAX_BATCH);
         assert_eq!(ms, 0.0, "caller clamps via MeasureOutcome::from_value");
+    }
+
+    /// On a 50 ns clock (the reference host's tick is 28–66 ns), calls
+    /// from 2 ns to 3 µs each: the accepted sample is one back-to-back
+    /// batch spanning at least 32 ticks, and the calls run before it are
+    /// at most half as many as it holds. Doubling alone runs `2k − 1`
+    /// calls to keep `k`: a 55 ns call (a class-4 sort) ran 63 to keep
+    /// 32.
+    #[test]
+    fn batched_timing_sizes_its_last_batch_from_a_probe() {
+        use std::cell::Cell;
+        const QUANTUM_NS: u64 = 50;
+        let target_ns = BATCH_TARGET_QUANTA * QUANTUM_NS as f64;
+        for cost_ns in (2..3_000).step_by(7) {
+            let (now, calls) = (Cell::new(0u64), Cell::new(0usize));
+            let mut clock = || ((now.get() / QUANTUM_NS) * QUANTUM_NS) as f64 * 1e-6;
+            let mut f = || {
+                now.set(now.get() + cost_ns);
+                calls.set(calls.get() + 1);
+            };
+            let (ms, batch) = batched_time_ms_with(QUANTUM_NS as f64 * 1e-6, &mut clock, &mut f);
+            let span_ns = (ms * 1e6 * batch as f64).round();
+            assert!(span_ns >= target_ns, "{cost_ns} ns: a short batch");
+            let before = calls.get() - batch;
+            assert!(
+                before <= batch / 2,
+                "{cost_ns} ns: {before} calls run to keep a batch of {batch}"
+            );
+        }
     }
 
     #[test]

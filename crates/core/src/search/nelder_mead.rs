@@ -283,9 +283,14 @@ impl Searcher for NelderMead {
         self.tracker.observe(&config, value);
 
         // Zero-dimensional spaces: the single empty configuration is all
-        // there is; stay in Exploit forever.
+        // there is; stay in Exploit forever, with the one vertex updated
+        // in place.
         if self.n() == 0 {
-            self.simplex = vec![(Vec::new(), value)];
+            self.simplex.truncate(1);
+            match self.simplex.first_mut() {
+                Some(vertex) => vertex.1 = value,
+                None => self.simplex.push((coords, value)),
+            }
             self.state = State::Exploit;
             return;
         }

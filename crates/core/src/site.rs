@@ -56,71 +56,90 @@
 //!
 //! **The claim CAS.** All tuner state (the phase-2 strategy, per-algorithm
 //! phase-1 searchers, logs, the tuning-rate controller) sits in an
-//! `UnsafeCell` guarded by a single claim word. A thread entering a site
-//! tries one `compare_exchange(0 → 1, Acquire)`:
+//! `UnsafeCell` guarded by a single claim word. Only a thread whose
+//! back-off countdown has run out (below) tries the claim: a plain load
+//! first, then one `compare_exchange(0 → 1, Acquire)` if it read 0.
 //!
-//! * **Winner** — asks the site's tuning-rate controller whether this call
-//!   tunes. Normally it does, and the winner drives a real tuning
-//!   iteration: `next()` on the embedded tuner, runs the chosen algorithm,
-//!   `report()`s the measured time, then publishes the tuner's current
-//!   exploit choice and releases the claim with a `Release` store. The
-//!   Acquire/Release pairing on the claim word makes all tuner mutations
-//!   happen-before the next winner's accesses — the same discipline as a
-//!   spinlock, except nobody ever spins. A call the controller *backs
-//!   off* releases the claim inside [`Site::pre`] and continues like a
-//!   loser.
-//! * **Loser** — does *not* wait. It reads the most recently *published*
-//!   decision (best algorithm + its best-known configuration) through a
-//!   seqlock and runs that; the tuner never sees its time. Contended
-//!   calls therefore cost one failed CAS plus a seqlock read into an
-//!   inline [`Configuration`] (no allocation), and the measurement stream
-//!   feeding the tuner stays serialized per site — no torn or
-//!   interleaved ask/tell protocols, no lost updates.
+//! * **Winner** — drives a real tuning iteration: `next()` on the
+//!   embedded tuner, runs the chosen algorithm, `report()`s the measured
+//!   time, then publishes the tuner's current exploit choice, takes its
+//!   countdown from the rate controller and releases the claim with a
+//!   `Release` store. The Acquire/Release pairing on the claim word makes
+//!   all tuner mutations happen-before the next winner's accesses — the
+//!   same discipline as a spinlock, except nobody ever spins.
+//! * **Loser** — finds the claim held and does *not* wait. It reads the
+//!   most recently *published* decision (best algorithm + its best-known
+//!   configuration) through a seqlock and runs that; the tuner never sees
+//!   its time. Its countdown stays run out, so its next call looks at the
+//!   claim again. A held claim is seen by the plain load, so a contended
+//!   call writes nothing shared, and the measurement stream feeding the
+//!   tuner stays serialized per site — no torn or interleaved ask/tell
+//!   protocols, no lost updates.
 //!
 //! **Tuning rate.** The paper tunes until convergence and then exploits;
 //! an always-on site has to notice convergence itself. Once a site's best
 //! value has not improved by more than 5% for 32 tuned iterations, the
 //! gap between tuning calls doubles with each further plateaued
-//! iteration, up to one tuning call in 64. A claim-winning call inside the
-//! gap is served the published decision like a contended call (no RNG
-//! draw, no tuner change) and counted by [`Site::backed_off`]. A >5%
-//! improvement, or a freshly built tuner ([`Site::restart`], a context
-//! key's first admission), returns the site to tuning every call. The
-//! controller lives in the claim-guarded [`SiteTuner`], so it travels with
-//! the tuner when [`crate::context::ContextSites`] parks and reinstates
-//! it. DESIGN.md §12 explains the constants.
+//! iteration, up to one tuning call in 64. The gap counts each thread's
+//! own calls: after its own tuning call a thread takes a countdown of
+//! `gap − 1` calls, kept in a cell only it writes, and serves them from
+//! the published decision without touching the claim (no RNG draw, no
+//! tuner change), counted by [`Site::backed_off`]. With one thread this
+//! is the gap call for call. A >5% improvement, or a freshly built tuner
+//! ([`Site::restart`], a context key's first admission), returns the site
+//! to tuning every call. The controller lives in the claim-guarded
+//! [`SiteTuner`], so it travels with the tuner when
+//! [`crate::context::ContextSites`] parks and reinstates it. DESIGN.md
+//! §12 explains the constants.
+//!
+//! **Countdown epochs.** A restart, a rebind and a penalized proposal
+//! start a new *epoch* of the published decision, which voids every
+//! thread's countdown: a thread whose countdown belongs to an older epoch
+//! (or that has none yet) starts from the countdown published with the
+//! epoch — 0, so its next call tries the claim, except for a reinstated
+//! tuner, which publishes the unspent countdown it was parked with. A
+//! rebind parks the calling thread's unspent countdown with the outgoing
+//! tuner.
 //!
 //! **The seqlock.** The published decision is a fixed-size, heap-free
 //! encoding (algorithm index + up to [`MAX_PUBLISHED_PARAMS`] tagged
-//! parameter values, each an `AtomicU64`). The writer (always the claim
-//! holder, so writers never race each other) bumps the sequence word to odd
-//! (`Relaxed` store, then a `Release` fence orders it before the data
-//! stores), writes the payload with `Relaxed` stores, and bumps to even with
-//! a `Release` store that orders the payload before it. Readers load the
-//! sequence (`Acquire`), copy the payload (`Relaxed`), issue an `Acquire`
-//! fence, and re-check the sequence: an odd or changed sequence means a
-//! concurrent publish, so the read retries. Every word is an atomic, so
-//! even a torn read-in-progress is well-defined — the retry just discards
-//! it.
+//! parameter values, each an `AtomicU64`, plus the epoch and its starting
+//! countdown). The writer (always the claim holder, so writers never race
+//! each other) bumps the sequence word to odd (`Relaxed` store, then a
+//! `Release` fence orders it before the data stores), writes the payload
+//! with `Relaxed` stores, and bumps to even with a `Release` store that
+//! orders the payload before it. Readers load the sequence (`Acquire`),
+//! copy the payload (`Relaxed`), issue an `Acquire` fence, and re-check
+//! the sequence: an odd or changed sequence means a concurrent publish,
+//! so the read retries. Every word is an atomic, so even a torn
+//! read-in-progress is well-defined — the retry just discards it.
 //!
 //! **Timing stride.** A contended or backed-off call is *untuned*: its
 //! time feeds no tuner, only the caller (a drift monitor) and the site's
 //! runtime histogram. Each publish therefore also stores a timing stride
 //! `k`, the smallest power of two up to 64 for which one clock pair
 //! ([`crate::robust::clock_pair_ms`]) costs at most 5% of `k` runs of
-//! the published incumbent, and an untuned call is timed only when the
-//! site's count of completed untuned calls is a multiple of `k`
-//! ([`Site::timing_stride`]); an untimed [`SiteGuard::post`] returns
+//! the published incumbent, and a thread times an untuned call only when
+//! its own count of completed untuned calls at the site is a multiple of
+//! `k` ([`Site::timing_stride`]); an untimed [`SiteGuard::post`] returns
 //! `NaN`. µs-scale kernels keep `k = 1`; tuning iterations are always
 //! timed. DESIGN.md §12 explains the budget.
 //!
-//! **Counters.** Per-site call, contention, back-off and timed-call
-//! counters are `fetch_add`s on the slot, bumped when a call completes —
-//! monotonic and exact (no lost updates), which the 8-thread stress test
-//! in `tests/site_runtime.rs` pins. Every completed call is exactly one
-//! of tuned, contended or backed off. A timed, successful untuned call
-//! also lands in the slot's log-spaced runtime histogram
-//! ([`Site::untuned_quantile_ms`]).
+//! **Counters.** Each thread counts its completed calls at a site — all
+//! calls, contended, backed off, timed — and the timed calls' runtimes
+//! in a log-spaced histogram, in cells only it writes: a count goes up by
+//! a plain load and store, with no read-modify-write and on no cache line
+//! another thread writes. [`Site::calls`] and its siblings sum the
+//! threads' cells, reading each cell's counts before its calls, so the
+//! sums are exact once the calls have completed (at quiescence, and for a
+//! thread reading right after its own calls) and `tuned_iterations()`
+//! never underflows under racing readers; the stress tests in
+//! `tests/site_runtime.rs` and `tests/plateaued_threads.rs` pin this.
+//! Every completed call is exactly one of tuned, contended or backed off.
+//! A retiring thread hands its cells back to their sites, counts
+//! included, for the next thread to adopt, so a site holds at most as
+//! many cells as threads ever called it at once. A guard bumps the cells
+//! of the thread that took it, so [`SiteGuard`] is not `Send`.
 //!
 //! **Telemetry.** Every event a site's tuner emits is stamped with the
 //! site's id via [`crate::telemetry::with_site`], so one global trace
@@ -133,7 +152,8 @@
 //! outcomes only.
 //!
 //! Single-threaded use drives the embedded tuner exactly as a direct
-//! caller would: the claim CAS always succeeds, so the tuned calls run
+//! caller would: the claim is always free when the countdown runs out, so
+//! the tuned calls run
 //! the *bit-identical* (algorithm, configuration) sequence a direct tuner
 //! proposes under the same seeds and measurements, both tuners end in
 //! the same state, and every backed-off call runs the direct tuner's
@@ -146,8 +166,9 @@ use crate::space::{Configuration, Constraint, SearchSpace};
 use crate::telemetry::metrics::{bucket_index, bucket_quantile, HIST_BUCKETS};
 use crate::telemetry::{self, EventKind, MeasureStatus, Traffic};
 use crate::two_phase::{AlgorithmSpec, NominalKind, TwoPhaseTuner};
-use std::cell::UnsafeCell;
-use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::cell::{RefCell, UnsafeCell};
+use std::marker::PhantomData;
+use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -307,13 +328,15 @@ fn timing_stride(value_ms: f64, clock_pair_ms: f64) -> u32 {
 
 /// A site's tuning-rate controller (see the module docs and DESIGN.md
 /// §12): a plateau counter over the tuned iterations' values, and the
-/// number of claim-winning calls still to serve from the published
-/// decision before the next tuning call.
+/// gap it schedules after each of them.
 struct TuningRate {
     /// Best value as of the last meaningful improvement.
     best: f64,
     /// Tuned iterations since that improvement.
     plateau: usize,
+    /// Calls to serve from the published decision before the next
+    /// tuning call: the countdown a thread takes after its own tuned
+    /// iteration, and the unspent countdown a parked tuner carries.
     skip: u32,
 }
 
@@ -348,16 +371,6 @@ impl TuningRate {
             self.plateau += 1;
         }
         self.skip = self.gap() - 1;
-    }
-
-    /// Should this claim-winning call back off? Consumes one place in
-    /// the gap when it does.
-    fn back_off(&mut self) -> bool {
-        let skip = self.skip > 0;
-        if skip {
-            self.skip -= 1;
-        }
-        skip
     }
 }
 
@@ -458,27 +471,105 @@ fn decode_value(bits: u64, tag: u64) -> Value {
     }
 }
 
-/// One registered tuning site: claim word, counters, the seqlock-published
-/// exploit decision, and the embedded tuner. Each slot is its own
-/// cache-line-aligned allocation so independent sites never false-share.
+/// One thread's traffic counters and untuned-runtime histogram at one
+/// site, and its countdown there: the untuned call's bookkeeping. Only
+/// the thread that owns the cell
+/// writes it, so a count goes up by a plain load and store, with no
+/// read-modify-write, on cache lines no other thread writes; readers sum
+/// the site's cells ([`SiteSlot::traffic`]). A cell is allocated once per
+/// (thread, site), on the thread's first call, and never freed: a
+/// retiring thread hands its cells back to their sites, counts included,
+/// and the next thread to enter a site adopts a free cell before it
+/// allocates one, so a site holds at most as many cells as threads ever
+/// called it at once.
+#[repr(align(64))]
+struct Cells {
+    /// Set while a thread owns the cell.
+    owned: AtomicBool,
+    /// The next cell in the site's list, fixed before the cell is
+    /// published.
+    next: Option<&'static Cells>,
+    /// Calls the owner still serves from the published decision before
+    /// it tries the claim (DESIGN.md §12).
+    countdown: AtomicU32,
+    /// The epoch the countdown belongs to (see [`SiteSlot::publish`]).
+    epoch: AtomicU32,
+    /// Completed calls: tuned and untuned.
+    calls: AtomicU64,
+    /// Completed calls that found the claim held and ran the published
+    /// decision.
+    contended: AtomicU64,
+    /// Completed calls served from the countdown.
+    backed_off: AtomicU64,
+    /// Completed untuned calls that were timed.
+    timed: AtomicU64,
+    /// Runtimes of the timed, successful untuned calls, counted per
+    /// [`bucket_index`] bucket.
+    runtimes: [AtomicU64; HIST_BUCKETS],
+}
+
+impl Cells {
+    /// Count one more in `cell`, as its only writer.
+    fn bump(cell: &AtomicU64, order: Ordering) {
+        cell.store(cell.load(Ordering::Relaxed) + 1, order);
+    }
+
+    /// Should the owner's untuned call starting now be timed? Yes when
+    /// its completed untuned calls at this site are a multiple of the
+    /// power-of-two `stride`. Counting the owner's own calls at this site
+    /// keeps the timed calls from aliasing with the gap between its
+    /// tuning calls or with calls it makes to other sites in turn.
+    fn times_untuned_call(&self, stride: u32) -> bool {
+        let untuned =
+            self.contended.load(Ordering::Relaxed) + self.backed_off.load(Ordering::Relaxed);
+        untuned & (u64::from(stride) - 1) == 0
+    }
+
+    /// Give the cell up for the next thread to adopt.
+    fn release(&self) {
+        // `Release`: the adopter's `Acquire` sees the final counts.
+        self.owned.store(false, Ordering::Release);
+    }
+}
+
+/// A thread's cells, indexed by site; each one is returned to its site
+/// when the thread exits.
+struct Ledger(RefCell<Vec<Option<&'static Cells>>>);
+
+impl Drop for Ledger {
+    fn drop(&mut self) {
+        for cells in self.0.get_mut().iter().flatten() {
+            cells.release();
+        }
+    }
+}
+
+thread_local! {
+    static LEDGER: Ledger = const { Ledger(RefCell::new(Vec::new())) };
+}
+
+/// The published exploit decision, as a seqlock read returns it.
+struct Published {
+    algorithm: usize,
+    config: Configuration,
+    /// The epoch it belongs to, and the countdown a thread joining that
+    /// epoch starts from.
+    epoch: u32,
+    countdown: u32,
+}
+
+/// One registered tuning site: claim word, the seqlock-published exploit
+/// decision, the embedded tuner, and the list of its threads' traffic
+/// cells. Each slot is its own cache-line-aligned allocation so
+/// independent sites never false-share.
 #[repr(align(64))]
 struct SiteSlot {
     /// Claim word: 0 = free, 1 = a thread holds the tuner (a tuning
-    /// iteration, or a rate decision inside [`Site::pre`]).
+    /// iteration, or a restart, rebind or inspection).
     claim: AtomicU32,
-    /// Completed calls through this site (tuned + exploit fast path).
-    calls: AtomicU64,
-    /// Completed calls that lost the claim race and took the exploit
-    /// fast path.
-    contended: AtomicU64,
-    /// Completed calls the tuning-rate controller served from the
-    /// published decision.
-    backed_off: AtomicU64,
-    /// Completed untuned (contended or backed-off) calls that were timed.
-    timed: AtomicU64,
     /// Timing stride of the published decision (see [`timing_stride`]):
-    /// an untuned call is timed when the count of completed untuned calls
-    /// is a multiple of it.
+    /// a thread times an untuned call when its count of completed
+    /// untuned calls here is a multiple of it.
     stride: AtomicU32,
     /// Times the tuner was rebuilt from the recipe ([`Site::restart`]).
     restarts: AtomicU64,
@@ -493,9 +584,13 @@ struct SiteSlot {
     pub_tags: AtomicU64,
     /// Published decision: parameter value bits.
     pub_vals: [AtomicU64; MAX_PUBLISHED_PARAMS],
-    /// Runtimes of the timed, successful untuned calls, counted per
-    /// [`bucket_index`] bucket.
-    runtimes: [AtomicU64; HIST_BUCKETS],
+    /// Published: the current countdown epoch, and the countdown a
+    /// thread whose own belongs to an older epoch starts it from.
+    pub_epoch: AtomicU32,
+    pub_countdown: AtomicU32,
+    /// Head of the list of threads' [`Cells`]; cells are only ever
+    /// pushed.
+    cells: AtomicPtr<Cells>,
     id: SiteId,
     name: String,
     /// Algorithm count of the current binding; atomic because
@@ -555,10 +650,6 @@ impl SiteSlot {
         let num_algorithms = tuner.tuner.num_algorithms();
         let slot = SiteSlot {
             claim: AtomicU32::new(0),
-            calls: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-            backed_off: AtomicU64::new(0),
-            timed: AtomicU64::new(0),
             stride: AtomicU32::new(1),
             restarts: AtomicU64::new(0),
             seq: AtomicU32::new(0),
@@ -566,7 +657,9 @@ impl SiteSlot {
             pub_len: AtomicU32::new(0),
             pub_tags: AtomicU64::new(0),
             pub_vals: Default::default(),
-            runtimes: std::array::from_fn(|_| AtomicU64::new(0)),
+            pub_epoch: AtomicU32::new(0),
+            pub_countdown: AtomicU32::new(0),
+            cells: AtomicPtr::new(std::ptr::null_mut()),
             id,
             name,
             num_algorithms: AtomicU32::new(num_algorithms as u32),
@@ -576,15 +669,17 @@ impl SiteSlot {
         // the space's minimum corner) so the exploit fast path is valid
         // from the very first contended call. Single-threaded here: the
         // slot is not yet visible to the registry.
-        slot.publish(unsafe { &(*slot.state.get()).tuner.tuner });
+        slot.publish(unsafe { &(*slot.state.get()).tuner.tuner }, None);
         slot
     }
 
     /// Publish `tuner`'s exploit choice as the decision untuned calls
     /// run, and the timing stride of its incumbent's value; returns the
-    /// choice. Caller must hold the claim (or be constructing the slot),
-    /// so there is exactly one writer at a time.
-    fn publish(&self, tuner: &TwoPhaseTuner) -> (usize, Configuration) {
+    /// choice. With `Some(countdown)`, also start a new epoch: every
+    /// thread's countdown is void, and a thread starts the new epoch
+    /// from `countdown`. Caller must hold the claim (or be constructing
+    /// the slot), so there is exactly one writer at a time.
+    fn publish(&self, tuner: &TwoPhaseTuner, new_epoch: Option<u32>) -> (usize, Configuration) {
         let (algo, config, value) = tuner.exploit_incumbent();
         self.stride
             .store(timing_stride(value, clock_pair_ms()), Ordering::Relaxed);
@@ -602,6 +697,12 @@ impl SiteSlot {
             tags |= tag << (2 * i);
         }
         self.pub_tags.store(tags, Ordering::Relaxed);
+        if let Some(countdown) = new_epoch {
+            let epoch = self.pub_epoch.load(Ordering::Relaxed);
+            self.pub_epoch
+                .store(epoch.wrapping_add(1), Ordering::Relaxed);
+            self.pub_countdown.store(countdown, Ordering::Relaxed);
+        }
         // Order the payload stores before the even sequence.
         self.seq.store(s.wrapping_add(2), Ordering::Release);
         (algo, config)
@@ -609,11 +710,11 @@ impl SiteSlot {
 
     /// Seqlock read of the published decision. Lock-free and heap-free:
     /// retries only while a concurrent publish is mid-flight.
-    fn read_decision(&self) -> (usize, Configuration) {
+    fn read_decision(&self) -> Published {
         loop {
             let s1 = self.seq.load(Ordering::Acquire);
             if s1 & 1 == 0 {
-                let algo = self.pub_algo.load(Ordering::Relaxed) as usize;
+                let algorithm = self.pub_algo.load(Ordering::Relaxed) as usize;
                 let len = (self.pub_len.load(Ordering::Relaxed) as usize).min(MAX_PUBLISHED_PARAMS);
                 let tags = self.pub_tags.load(Ordering::Relaxed);
                 let config = self.pub_vals[..len]
@@ -621,43 +722,141 @@ impl SiteSlot {
                     .enumerate()
                     .map(|(i, v)| decode_value(v.load(Ordering::Relaxed), (tags >> (2 * i)) & 0b11))
                     .collect();
+                let epoch = self.pub_epoch.load(Ordering::Relaxed);
+                let countdown = self.pub_countdown.load(Ordering::Relaxed);
                 // Order the payload loads before the sequence re-check.
                 fence(Ordering::Acquire);
                 if self.seq.load(Ordering::Relaxed) == s1 {
-                    return (algo, config);
+                    return Published {
+                        algorithm,
+                        config,
+                        epoch,
+                        countdown,
+                    };
                 }
             }
             std::hint::spin_loop();
         }
     }
 
-    /// Should an untuned call starting now be timed? Yes when the count
-    /// of completed untuned calls is a multiple of the published stride.
-    /// The count is the site's own, so the timed calls neither alias with
-    /// the rate controller's gap between tuning calls nor with the calls
-    /// a thread makes to other sites in turn.
-    fn times_untuned_call(&self) -> bool {
-        let untuned =
-            self.contended.load(Ordering::Relaxed) + self.backed_off.load(Ordering::Relaxed);
-        // The stride is a power of two: a mask, not a division.
-        let stride = u64::from(self.stride.load(Ordering::Relaxed));
-        untuned & (stride - 1) == 0
+    /// The claim, if no thread holds it. A held claim is seen by a plain
+    /// load, so a call that finds it held writes nothing shared.
+    fn try_claim(&self) -> bool {
+        self.claim.load(Ordering::Relaxed) == 0
+            && self
+                .claim
+                .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
     }
 
-    /// The traffic counters as a tuning call resolves, that call (not yet
-    /// counted) included. Loaded in the reverse of the order
-    /// `SiteGuard::finish` bumps them, so racing untuned calls cannot
-    /// break `timed ≤ backed_off + contended ≤ calls`.
-    fn traffic(&self) -> Traffic {
-        let timed = self.timed.load(Ordering::Acquire);
-        let backed_off = self.backed_off.load(Ordering::Acquire);
-        let contended = self.contended.load(Ordering::Acquire);
-        Traffic {
-            calls: self.calls.load(Ordering::Relaxed) + 1,
-            backed_off,
-            contended,
-            timed,
+    /// Spin until this thread holds the claim.
+    fn wait_for_claim(&self) {
+        while !self.try_claim() {
+            std::hint::spin_loop();
         }
+    }
+
+    /// The threads' cells, newest first.
+    fn cells(&self) -> impl Iterator<Item = &'static Cells> {
+        // SAFETY: the list holds only leaked, never-freed cells.
+        let mut next = unsafe { self.cells.load(Ordering::Acquire).as_ref() };
+        std::iter::from_fn(move || {
+            let cells = next?;
+            next = cells.next;
+            Some(cells)
+        })
+    }
+
+    /// Own a cell of this site: a free one, or a new one pushed onto the
+    /// list. Its countdown belongs to no epoch, so the first call takes
+    /// the published one.
+    fn adopt_cells(&self) -> &'static Cells {
+        let adopted = self.cells().find(|c| {
+            !c.owned.load(Ordering::Relaxed)
+                && c.owned
+                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+        });
+        let cells = adopted.unwrap_or_else(|| {
+            let cells = Box::into_raw(Box::new(Cells {
+                owned: AtomicBool::new(true),
+                next: None,
+                countdown: AtomicU32::new(0),
+                epoch: AtomicU32::new(0),
+                calls: AtomicU64::new(0),
+                contended: AtomicU64::new(0),
+                backed_off: AtomicU64::new(0),
+                timed: AtomicU64::new(0),
+                runtimes: std::array::from_fn(|_| AtomicU64::new(0)),
+            }));
+            let mut head = self.cells.load(Ordering::Acquire);
+            loop {
+                // SAFETY: `cells` is not yet shared, and `head` is null or
+                // a leaked, never-freed cell.
+                unsafe { (*cells).next = head.as_ref() };
+                match self.cells.compare_exchange_weak(
+                    head,
+                    cells,
+                    Ordering::Release,
+                    Ordering::Acquire,
+                ) {
+                    Ok(_) => break,
+                    Err(current) => head = current,
+                }
+            }
+            // SAFETY: published cells are never freed.
+            unsafe { &*cells }
+        });
+        let epoch = self.pub_epoch.load(Ordering::Relaxed);
+        cells.epoch.store(epoch.wrapping_sub(1), Ordering::Relaxed);
+        cells
+    }
+
+    /// The calling thread's cells for this site, adopted on its first
+    /// call; `None` once the thread's ledger is torn down at exit.
+    fn own_cells(&self) -> Option<&'static Cells> {
+        let i = self.id.index();
+        LEDGER
+            .try_with(|ledger| {
+                if let Some(&Some(cells)) = ledger.0.borrow().get(i) {
+                    return cells;
+                }
+                let cells = self.adopt_cells();
+                let mut owned = ledger.0.borrow_mut();
+                if owned.len() <= i {
+                    owned.resize(i + 1, None);
+                }
+                owned[i] = Some(cells);
+                cells
+            })
+            .ok()
+    }
+
+    /// The calling thread's countdown here, if it belongs to the current
+    /// epoch. Caller must hold the claim, so the epoch cannot move.
+    fn own_countdown(&self) -> Option<u32> {
+        let i = self.id.index();
+        let cells = LEDGER
+            .try_with(|ledger| ledger.0.borrow().get(i).copied().flatten())
+            .ok()
+            .flatten()?;
+        let current = cells.epoch.load(Ordering::Relaxed) == self.pub_epoch.load(Ordering::Relaxed);
+        current.then(|| cells.countdown.load(Ordering::Relaxed))
+    }
+
+    /// The traffic counters summed over the threads' cells. Each cell is
+    /// read in the reverse of the order `SiteGuard::finish` bumps it —
+    /// timed, the path counts, then calls — so a read racing live calls
+    /// keeps `timed ≤ backed_off + contended ≤ calls`.
+    fn traffic(&self) -> Traffic {
+        let mut t = Traffic::default();
+        for cells in self.cells() {
+            t.timed += cells.timed.load(Ordering::Acquire);
+            t.backed_off += cells.backed_off.load(Ordering::Acquire);
+            t.contended += cells.contended.load(Ordering::Acquire);
+            t.calls += cells.calls.load(Ordering::Relaxed);
+        }
+        t
     }
 }
 
@@ -686,24 +885,24 @@ impl Site {
     }
 
     /// Completed calls through this site (tuned iterations + exploit fast
-    /// path). Exact under concurrency — the stress tests pin this.
+    /// path), summed over the threads' cells. Exact once the calls have
+    /// completed: at quiescence, and for a thread reading right after its
+    /// own calls — the stress tests pin both.
     pub fn calls(self) -> u64 {
-        self.slot.calls.load(Ordering::Relaxed)
+        self.slot.traffic().calls
     }
 
-    /// Calls that lost the claim race and ran the published decision
-    /// instead of a tuning iteration.
+    /// Calls that found the claim held by another thread and ran the
+    /// published decision instead of a tuning iteration.
     pub fn contended(self) -> u64 {
-        // `Acquire` pairs with the `Release` bump in `SiteGuard::finish`,
-        // which follows the call's `calls` bump.
-        self.slot.contended.load(Ordering::Acquire)
+        self.slot.traffic().contended
     }
 
-    /// Calls that won the claim inside the tuning-rate controller's gap
-    /// and ran the published decision instead of a tuning iteration (see
-    /// the module docs).
+    /// Calls served from the calling thread's back-off countdown: they
+    /// ran the published decision instead of a tuning iteration (see the
+    /// module docs).
     pub fn backed_off(self) -> u64 {
-        self.slot.backed_off.load(Ordering::Acquire)
+        self.slot.traffic().backed_off
     }
 
     /// Untuned (contended or backed-off) calls that were timed, by the
@@ -711,12 +910,12 @@ impl Site {
     /// caller ([`SiteGuard::post_outcome`]). Their runtimes make up
     /// [`Site::untuned_quantile_ms`].
     pub fn timed(self) -> u64 {
-        self.slot.timed.load(Ordering::Acquire)
+        self.slot.traffic().timed
     }
 
-    /// The published decision's timing stride `k`: an untuned call is
-    /// timed when the site's count of completed untuned calls is a
-    /// multiple of `k`. The smallest power of two, at most 64, for which
+    /// The published decision's timing stride `k`: a thread times an
+    /// untuned call when its own count of completed untuned calls at this
+    /// site is a multiple of `k`. The smallest power of two, at most 64, for which
     /// one clock pair costs at most 5% of `k` runs of the published
     /// incumbent (DESIGN.md §12); 1 before the incumbent has a value.
     pub fn timing_stride(self) -> u32 {
@@ -728,18 +927,22 @@ impl Site {
     /// ([`crate::telemetry::metrics::bucket_quantile`]); `NaN` before the
     /// first one.
     pub fn untuned_quantile_ms(self, q: f64) -> f64 {
-        let counts: [u64; HIST_BUCKETS] =
-            std::array::from_fn(|i| self.slot.runtimes[i].load(Ordering::Relaxed));
+        let mut counts = [0u64; HIST_BUCKETS];
+        for cells in self.slot.cells() {
+            for (count, cell) in counts.iter_mut().zip(&cells.runtimes) {
+                *count += cell.load(Ordering::Relaxed);
+            }
+        }
         bucket_quantile(&counts, q)
     }
 
     /// Calls that ran a full tuning iteration: `calls − contended −
-    /// backed_off`. Loading the two path counters first means every call
-    /// they count is already in `calls`, so a read racing live traffic
-    /// never underflows.
+    /// backed_off`, from one read of the cells that loads each cell's
+    /// path counts before its calls, so a read racing live traffic never
+    /// underflows.
     pub fn tuned_iterations(self) -> u64 {
-        let untuned = self.contended() + self.backed_off();
-        self.calls() - untuned
+        let t = self.slot.traffic();
+        t.calls - t.contended - t.backed_off
     }
 
     /// Times this site's tuner was rebuilt from its recipe
@@ -752,8 +955,9 @@ impl Site {
     /// Throw away all learned state and rebuild the tuner from the
     /// registration recipe (same algorithm set, same strategies, same
     /// seed), re-widening the search after workload drift. The rebuilt
-    /// tuner's rate controller starts fresh, so the site tunes every call
-    /// again until it re-plateaus.
+    /// tuner's rate controller starts fresh, and every thread's countdown
+    /// is void, so each thread's next call tries the claim and the site
+    /// tunes every call again until it re-plateaus.
     ///
     /// Spins for the claim like [`Site::with_tuner`], so it must not be
     /// called from a thread that already holds it (e.g. inside
@@ -764,20 +968,14 @@ impl Site {
     /// not learning.
     pub fn restart(self) {
         let slot = self.slot;
-        while slot
-            .claim
-            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            std::hint::spin_loop();
-        }
+        slot.wait_for_claim();
+        let _release = ReleaseClaim(slot);
         // SAFETY: this thread holds the claim (see `Sync` impl).
         let state = unsafe { &mut *slot.state.get() };
         let (tuner, _name) = SiteTuner::build(state.recipe.clone());
         state.tuner = tuner;
-        slot.publish(&state.tuner.tuner);
+        slot.publish(&state.tuner.tuner, Some(0));
         slot.restarts.fetch_add(1, Ordering::Relaxed);
-        slot.claim.store(0, Ordering::Release);
     }
 
     /// Rebind this site to a new blueprint, returning the outgoing tuner:
@@ -797,8 +995,11 @@ impl Site {
     /// against the new binding; [`crate::context::ContextSites`] enforces
     /// this with per-slot in-flight accounting. Traffic counters
     /// (`calls`, `contended`, `backed_off`) are not reset: they count the
-    /// slot, not the binding. A reinstated tuner brings its rate
-    /// controller along; a cold build starts at full rate.
+    /// slot, not the binding. The outgoing tuner takes the calling
+    /// thread's unspent countdown along, and every thread's countdown is
+    /// void: each starts from the incoming tuner's unspent countdown, so
+    /// a reinstated tuner resumes its gap and a cold build starts at full
+    /// rate.
     pub fn rebind(self, spec: SiteSpec, tuner: Option<SiteTuner>) -> SiteTuner {
         let slot = self.slot;
         // Cold builds happen outside the claim: registration cost must
@@ -808,70 +1009,84 @@ impl Site {
             Some(t) => t,
             None => SiteTuner::build(spec.clone()).0,
         };
-        while slot
-            .claim
-            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            std::hint::spin_loop();
-        }
+        slot.wait_for_claim();
+        let _release = ReleaseClaim(slot);
+        let unspent = slot.own_countdown();
         // SAFETY: this thread holds the claim (see `Sync` impl).
         let state = unsafe { &mut *slot.state.get() };
-        let outgoing = std::mem::replace(&mut state.tuner, incoming);
+        let mut outgoing = std::mem::replace(&mut state.tuner, incoming);
+        if let Some(countdown) = unspent {
+            outgoing.rate.skip = countdown;
+        }
         state.recipe = spec;
         slot.num_algorithms
             .store(state.tuner.tuner.num_algorithms() as u32, Ordering::Relaxed);
-        slot.publish(&state.tuner.tuner);
-        slot.claim.store(0, Ordering::Release);
+        slot.publish(&state.tuner.tuner, Some(state.tuner.rate.skip));
         outgoing
     }
 
     /// Enter the site (Tuna's `tuna_pre`): pick the algorithm and
-    /// configuration to run. A thread that wins the claim CAS asks the
-    /// tuning-rate controller first: inside the controller's gap it
-    /// releases the claim and runs the published exploit decision,
-    /// otherwise it keeps the claim and runs a fresh tuner proposal. A
-    /// thread that loses the CAS runs the published decision. Pair with
-    /// [`SiteGuard::post`] / [`SiteGuard::post_outcome`] around the
-    /// interchangeable code, or drop the guard to abandon the call.
+    /// configuration to run. While the calling thread's back-off
+    /// countdown here runs, the call runs the published exploit decision
+    /// and takes no claim. Once it has run out, the call tries the claim:
+    /// a thread that wins runs a fresh tuner proposal, and one that finds
+    /// the claim held runs the published decision and tries again on its
+    /// next call. Pair with [`SiteGuard::post`] /
+    /// [`SiteGuard::post_outcome`] around the interchangeable code, or
+    /// drop the guard to abandon the call.
     pub fn pre(self) -> SiteGuard {
         let slot = self.slot;
-        let (path, (algorithm, config)) = if slot
-            .claim
-            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
+        let (cells, leased) = match slot.own_cells() {
+            Some(cells) => (cells, false),
+            // A thread tearing down its locals borrows a cell for this
+            // call.
+            None => (slot.adopt_cells(), true),
+        };
+        let published = slot.read_decision();
+        if cells.epoch.load(Ordering::Relaxed) != published.epoch {
+            cells.epoch.store(published.epoch, Ordering::Relaxed);
+            cells
+                .countdown
+                .store(published.countdown, Ordering::Relaxed);
+        }
+        let countdown = cells.countdown.load(Ordering::Relaxed);
+        let (path, algorithm, config) = if countdown > 0 {
+            cells.countdown.store(countdown - 1, Ordering::Relaxed);
+            (CallPath::BackedOff, published.algorithm, published.config)
+        } else if slot.try_claim() {
             // Releases the claim on every path but a tuning iteration's,
             // including a panic mid-proposal.
             let bomb = ReleaseClaim(slot);
             // SAFETY: this thread holds the claim (see `Sync` impl).
             let tuner = unsafe { &mut (*slot.state.get()).tuner };
-            if tuner.rate.back_off() {
-                // The tuner is untouched, so the published decision is its
-                // exploit choice; no writer can race this read.
-                (CallPath::BackedOff, slot.read_decision())
-            } else {
-                match telemetry::with_site(slot.id.tag(), || tuner.tuner.next_feasible()) {
-                    Ok(p) => {
-                        std::mem::forget(bomb);
-                        (CallPath::Tuning, p)
-                    }
-                    // An irreparable proposal took the penalty path inside
-                    // the claim instead of letting the caller run (and
-                    // time) an invalid configuration: re-publish the
-                    // exploit decision, which the caller runs instead.
-                    Err(penalized) => {
-                        tuner.rate.record(penalized.value);
-                        (CallPath::Penalized, slot.publish(&tuner.tuner))
-                    }
+            match telemetry::with_site(slot.id.tag(), || tuner.tuner.next_feasible()) {
+                Ok((algorithm, config)) => {
+                    std::mem::forget(bomb);
+                    (CallPath::Tuning, algorithm, config)
+                }
+                // An irreparable proposal took the penalty path inside
+                // the claim instead of letting the caller run (and time)
+                // an invalid configuration: re-publish the exploit
+                // decision, which the caller runs instead, in a new
+                // epoch.
+                Err(penalized) => {
+                    tuner.rate.record(penalized.value);
+                    let (algorithm, config) = slot.publish(&tuner.tuner, Some(0));
+                    cells
+                        .epoch
+                        .store(slot.pub_epoch.load(Ordering::Relaxed), Ordering::Relaxed);
+                    cells.countdown.store(tuner.rate.skip, Ordering::Relaxed);
+                    (CallPath::Penalized, algorithm, config)
                 }
             }
         } else {
-            (CallPath::Contended, slot.read_decision())
+            (CallPath::Contended, published.algorithm, published.config)
         };
         let timed = match path {
             CallPath::Tuning | CallPath::Penalized => true,
-            CallPath::BackedOff | CallPath::Contended => slot.times_untuned_call(),
+            CallPath::BackedOff | CallPath::Contended => {
+                cells.times_untuned_call(slot.stride.load(Ordering::Relaxed))
+            }
         };
         SiteGuard {
             site: self,
@@ -880,6 +1095,9 @@ impl Site {
             start: timed.then(Instant::now),
             path,
             finished: false,
+            cells,
+            leased,
+            _owner_thread: PhantomData,
         }
     }
 
@@ -902,13 +1120,7 @@ impl Site {
     /// unwound closure cannot leave the tuner half-mutated).
     pub fn with_tuner<R>(self, f: impl FnOnce(&SiteTuner) -> R) -> R {
         let slot = self.slot;
-        while slot
-            .claim
-            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            std::hint::spin_loop();
-        }
+        slot.wait_for_claim();
         let _release = ReleaseClaim(slot);
         // SAFETY: this thread holds the claim (see `Sync` impl).
         f(unsafe { &(*slot.state.get()).tuner })
@@ -923,11 +1135,7 @@ impl Site {
     /// from inside its table lock) can stall or deadlock.
     pub fn try_with_tuner<R>(self, f: impl FnOnce(&SiteTuner) -> R) -> Option<R> {
         let slot = self.slot;
-        if slot
-            .claim
-            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
+        if !slot.try_claim() {
             return None;
         }
         let _release = ReleaseClaim(slot);
@@ -957,10 +1165,10 @@ enum CallPath {
     /// A tuning iteration whose proposal was infeasible: penalized inside
     /// `pre`, so the call runs the exploit decision.
     Penalized,
-    /// Inside the tuning-rate controller's gap: runs the published
+    /// Served from the thread's back-off countdown: runs the published
     /// decision.
     BackedOff,
-    /// Lost the claim race: runs the published decision.
+    /// Found the claim held: runs the published decision.
     Contended,
 }
 
@@ -968,7 +1176,8 @@ enum CallPath {
 /// configuration from [`Site::pre`] to [`SiteGuard::post`] (Tuna's
 /// `tuna_stack`). Dropping the guard without calling a `post` method
 /// abandons the call: the tuner rolls back its proposal and no sample or
-/// call is recorded.
+/// call is recorded. A guard is resolved on the thread that took it,
+/// whose counters it bumps, so it is not `Send`.
 pub struct SiteGuard {
     site: Site,
     algorithm: usize,
@@ -978,6 +1187,11 @@ pub struct SiteGuard {
     start: Option<Instant>,
     path: CallPath,
     finished: bool,
+    /// The calling thread's cells at this site.
+    cells: &'static Cells,
+    /// The cells were borrowed for this call only (see [`Site::pre`]).
+    leased: bool,
+    _owner_thread: PhantomData<*const ()>,
 }
 
 impl SiteGuard {
@@ -992,10 +1206,11 @@ impl SiteGuard {
     }
 
     /// Is this call a tuning iteration whose measurement feeds the tuner?
-    /// False on the exploit fast path: a call that lost the claim race,
-    /// one the tuning-rate controller backed off, or one whose infeasible
-    /// proposal was penalized in [`Site::pre`]. Callers use it to spend
-    /// careful measurement (e.g. batched timing) only where it is read.
+    /// False on the exploit fast path: a call that found the claim held,
+    /// one served from the thread's back-off countdown, or one whose
+    /// infeasible proposal was penalized in [`Site::pre`]. Callers use it
+    /// to spend careful measurement (e.g. batched timing) only where it
+    /// is read.
     pub fn is_tuning(&self) -> bool {
         self.path == CallPath::Tuning
     }
@@ -1022,22 +1237,29 @@ impl SiteGuard {
 
     fn finish(&mut self, outcome: MeasureOutcome) {
         self.finished = true;
-        let slot = self.site.slot;
+        let (slot, cells) = (self.site.slot, self.cells);
         let sample = match (self.path, &outcome) {
             (CallPath::Tuning, _) => {
-                let traffic = slot.traffic();
+                // The site's traffic with this call counted.
+                let mut traffic = slot.traffic();
+                traffic.calls += 1;
                 telemetry::with_site(slot.id.tag(), || {
                     // SAFETY: this thread holds the claim (see `Sync` impl).
                     let tuner = unsafe { &mut (*slot.state.get()).tuner };
                     tuner.report_outcome(outcome, traffic);
-                    slot.publish(&tuner.tuner);
+                    slot.publish(&tuner.tuner, None);
+                    // The thread's own tuned call starts its countdown.
+                    cells
+                        .epoch
+                        .store(slot.pub_epoch.load(Ordering::Relaxed), Ordering::Relaxed);
+                    cells.countdown.store(tuner.rate.skip, Ordering::Relaxed);
                 });
                 slot.claim.store(0, Ordering::Release);
                 None
             }
-            // A successful untuned call feeds the site's counters and
-            // histogram below, not the trace; an untimed one (`NaN`)
-            // only counts.
+            // A successful untuned call feeds the thread's counters and
+            // runtime histogram below, not the trace; an untimed one
+            // (`NaN`) only counts.
             (CallPath::BackedOff | CallPath::Contended, MeasureOutcome::Ok(ms)) => {
                 (!ms.is_nan()).then_some(*ms)
             }
@@ -1055,36 +1277,33 @@ impl SiteGuard {
                 None
             }
         };
-        slot.calls.fetch_add(1, Ordering::Relaxed);
+        Cells::bump(&cells.calls, Ordering::Relaxed);
         // After `calls`, with `Release`: a reader that sees a path count
-        // also sees its call (see `Site::tuned_iterations`).
-        let path_count = match self.path {
-            CallPath::Contended => Some(&slot.contended),
-            CallPath::BackedOff => Some(&slot.backed_off),
-            CallPath::Tuning | CallPath::Penalized => None,
-        };
-        if let Some(count) = path_count {
-            count.fetch_add(1, Ordering::Release);
+        // also sees its call (see `SiteSlot::traffic`).
+        match self.path {
+            CallPath::Contended => Cells::bump(&cells.contended, Ordering::Release),
+            CallPath::BackedOff => Cells::bump(&cells.backed_off, Ordering::Release),
+            CallPath::Tuning | CallPath::Penalized => {}
         }
         if let Some(ms) = sample {
-            slot.runtimes[bucket_index(ms)].fetch_add(1, Ordering::Relaxed);
-            slot.timed.fetch_add(1, Ordering::Release);
+            Cells::bump(&cells.runtimes[bucket_index(ms)], Ordering::Relaxed);
+            Cells::bump(&cells.timed, Ordering::Release);
         }
     }
 }
 
 impl Drop for SiteGuard {
     fn drop(&mut self) {
-        if self.finished {
-            return;
-        }
-        let slot = self.site.slot;
-        if self.path == CallPath::Tuning {
+        if !self.finished && self.path == CallPath::Tuning {
+            // Abandoned: not counted, since nothing ran to completion.
+            let slot = self.site.slot;
             // SAFETY: this thread holds the claim (see `Sync` impl).
             unsafe { &mut (*slot.state.get()).tuner.tuner }.abandon();
             slot.claim.store(0, Ordering::Release);
         }
-        // Abandoned calls are not counted: nothing ran to completion.
+        if self.leased {
+            self.cells.release();
+        }
     }
 }
 
@@ -1322,15 +1541,17 @@ mod tests {
         let id = register(SiteSpec::space("published", space.clone(), 11));
         let s = site(id);
         // Fresh site: the published decision decodes into the space.
-        let (algo, config) = s.slot.read_decision();
-        assert_eq!(algo, 0);
+        let Published {
+            algorithm, config, ..
+        } = s.slot.read_decision();
+        assert_eq!(algorithm, 0);
         assert!(space.contains(&config), "{config:?}");
         for _ in 0..50 {
             s.tuned(|_, c| {
                 assert!(space.contains(c), "{c:?}");
             });
         }
-        let (_, config) = s.slot.read_decision();
+        let config = s.slot.read_decision().config;
         assert!(space.contains(&config), "{config:?}");
     }
 
@@ -1497,12 +1718,51 @@ mod tests {
         assert_eq!(s.calls(), calls);
         // The published decision is still valid, and the rebuilt tuner
         // tunes the very next call.
-        let (algo, _) = s.slot.read_decision();
-        assert!(algo < 3);
+        assert!(s.slot.read_decision().algorithm < 3);
         let g = s.pre();
         assert!(g.is_tuning(), "a restart returns the site to full rate");
         g.post();
         s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().iterations(), 1));
+    }
+
+    #[test]
+    fn a_retired_threads_cells_pass_to_the_next_thread_with_their_counts() {
+        let id = register(three_algo_spec("retire", 53));
+        let calls = |n| move || (0..n).for_each(|_| site(id).tuned(|_, _| {}));
+        // `join` returns after the thread's locals are torn down.
+        std::thread::spawn(calls(3)).join().unwrap();
+        let s = site(id);
+        assert_eq!(s.slot.cells().count(), 1);
+        std::thread::spawn(calls(2)).join().unwrap();
+        assert_eq!(
+            s.slot.cells().count(),
+            1,
+            "the second thread adopted the cell"
+        );
+        assert_eq!(s.calls(), 5);
+    }
+
+    #[test]
+    fn a_call_from_a_thread_local_destructor_is_counted() {
+        struct CallOnDrop(SiteId);
+        impl Drop for CallOnDrop {
+            fn drop(&mut self) {
+                site(self.0).tuned(|_, _| {});
+            }
+        }
+        thread_local! {
+            static LATE: RefCell<Option<CallOnDrop>> = const { RefCell::new(None) };
+        }
+        let id = register(three_algo_spec("late-call", 59));
+        std::thread::spawn(move || {
+            LATE.with(|late| *late.borrow_mut() = Some(CallOnDrop(id)));
+            site(id).tuned(|_, _| {});
+        })
+        .join()
+        .unwrap();
+        let s = site(id);
+        assert_eq!(s.calls(), 2);
+        assert!(s.slot.cells().all(|c| !c.owned.load(Ordering::Relaxed)));
     }
 
     #[test]

@@ -326,13 +326,13 @@ impl SpanKind {
 /// its siblings) as one of its tuning iterations resolves, that call
 /// included. Untuned calls push no event of their own, so this is how a
 /// trace sees the exploit traffic between tuning calls.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Traffic {
     /// Completed calls.
     pub calls: u64,
     /// Calls the tuning-rate controller backed off.
     pub backed_off: u64,
-    /// Calls that lost the claim race.
+    /// Calls that found the claim held.
     pub contended: u64,
     /// Untuned calls that were timed ([`crate::site::Site::timed`]).
     pub timed: u64,

@@ -78,7 +78,7 @@ pub struct SitesLeg {
     pub threads: usize,
     /// Total completed calls across all sites.
     pub total_calls: u64,
-    /// Calls that lost a claim race and took the exploit fast path.
+    /// Calls that found the claim held and took the exploit fast path.
     pub contended_calls: u64,
     /// Wall-clock time of the leg, in milliseconds.
     pub wall_ms: f64,

@@ -108,15 +108,24 @@ pub fn runs(data: &[u64]) -> usize {
 /// (partially sorted, runs ≤ max(2, n/4)) or `2` (random). Like
 /// [`size_class`] it is total and a pure function of the data — tests can
 /// regenerate an input stream and replay its exact dispatch schedule.
+/// The scan stops once the runs pass max(2, n/4), so a random input is
+/// classed after about half of it.
 pub fn presort_class(data: &[u64]) -> u32 {
     let n = data.len();
-    let r = runs(data);
+    let partial = (n / 4).max(2);
+    let mut r = 1;
+    for w in data.windows(2) {
+        if w[0] > w[1] {
+            r += 1;
+            if r > partial {
+                return 2;
+            }
+        }
+    }
     if r <= (n / 16).max(1) {
         0
-    } else if r <= (n / 4).max(2) {
-        1
     } else {
-        2
+        1
     }
 }
 

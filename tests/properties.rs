@@ -312,3 +312,56 @@ fn kdtree_builders_agree_with_brute_force_on_random_scenes() {
         }
     }
 }
+
+// -------------------------------------------------------------------
+// Sort context keys: the early-exit presort scan classes like `runs`.
+// -------------------------------------------------------------------
+
+/// The presort class by its definition: the whole input's [`runs`]
+/// bucketed relative to its length.
+///
+/// [`runs`]: smallsort::runs
+fn presort_class_by_runs(data: &[u64]) -> u32 {
+    let (n, r) = (data.len(), smallsort::runs(data));
+    if r <= (n / 16).max(1) {
+        0
+    } else if r <= (n / 4).max(2) {
+        1
+    } else {
+        2
+    }
+}
+
+#[test]
+fn presort_class_matches_its_runs_definition() {
+    use smallsort::{nearly_sorted_input, presort_class};
+    let mut rng = Rng::new(0xc0de_0003);
+    for n in 0..=300usize {
+        let random: Vec<u64> = (0..n).map(|_| rng.next_below(1000)).collect();
+        let nearly = nearly_sorted_input(n, &mut rng);
+        let descending: Vec<u64> = (0..n as u64).rev().collect();
+        let equal = vec![7u64; n];
+        // Sorted stretches with random breaks: every class occurs.
+        let breaks = 1 + rng.pick_index(n.max(1));
+        let mut stepped: Vec<u64> = (0..n as u64).collect();
+        for _ in 0..breaks {
+            if n > 1 {
+                let i = rng.pick_index(n - 1);
+                stepped.swap(i, i + 1);
+            }
+        }
+        for (name, data) in [
+            ("random", random),
+            ("nearly sorted", nearly),
+            ("descending", descending),
+            ("all equal", equal),
+            ("stepped", stepped),
+        ] {
+            assert_eq!(
+                presort_class(&data),
+                presort_class_by_runs(&data),
+                "{name} input of {n}"
+            );
+        }
+    }
+}
